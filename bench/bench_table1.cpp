@@ -50,10 +50,11 @@
 /// edited program is analyzed twice — once plain-cold as the reference and
 /// once warm through the populated cache. The warm-edit verdicts must be
 /// byte-identical to the cold reference (timing and cache-state counters
-/// normalized), and across the suite the warm-edit pass must reach Z3 at
-/// least 10x less often than cold (`smt_solves`). Writes the aggregate —
-/// wall times, solve counts, constraint-cache hit rate, fingerprint and
-/// pair-verdict reuse — to the given file (BENCH_incremental.json in CI).
+/// normalized), and the warm-edit pass must not reach Z3 at all
+/// (`smt_solves` 0: a rename changes no content digest, so every outcome,
+/// cycles included, replays). Writes the aggregate — wall times, solve
+/// counts, fingerprint and pair-verdict reuse — to the given file
+/// (BENCH_incremental.json in CI).
 ///
 /// `--fleet <file>` is the serving tier's load generator and soak harness:
 /// it spawns a real c4-serve process on a loopback TCP port and drives the
@@ -418,13 +419,13 @@ std::string stripIncrementalValues(const std::string &Blob) {
       "backend_seconds",     "ssg_seconds",
       "enum_seconds",        "smt_seconds",
       "prefilter_seconds",   "incremental_seconds",
-      "rlimit_spent",        "smt_retries",
-      "smt_solves",          "sat_cache_hits",
-      "sat_cache_misses",    "sat_assist_proven",
-      "cond_cache_hits",     "cond_cache_misses",
-      "txn_fingerprint_hits", "pair_verdicts_reused",
-      "constraint_cache_hits", "constraint_cache_misses",
-      "solver_ctx_reuses",   "v.ce",
+      "validate_seconds",    "rlimit_spent",
+      "smt_retries",         "smt_solves",
+      "sat_cache_hits",      "sat_cache_misses",
+      "sat_assist_proven",   "cond_cache_hits",
+      "cond_cache_misses",   "txn_fingerprint_hits",
+      "pair_verdicts_reused", "solver_ctx_reuses",
+      "v.ce",
   };
   std::string Out;
   size_t Pos = 0;
@@ -457,7 +458,7 @@ struct IncrRow {
   const char *Name;
   double ColdSeconds, WarmSeconds;
   unsigned ColdSolves, WarmSolves;
-  uint64_t TxnHits, PairReused, GreenHits, GreenMisses, CtxReuses;
+  uint64_t TxnHits, PairReused, CtxReuses;
   bool Identical;
 };
 
@@ -528,8 +529,7 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
   unsigned Projects = 0, Failures = 0, Mismatches = 0, EditFailures = 0;
   double ColdSeconds = 0, WarmSeconds = 0;
   uint64_t ColdSolves = 0, WarmSolves = 0;
-  uint64_t TxnHits = 0, PairReused = 0, GreenHits = 0, GreenMisses = 0,
-           CtxReuses = 0;
+  uint64_t TxnHits = 0, PairReused = 0, CtxReuses = 0;
   std::vector<IncrRow> Rows;
 
   // Each app gets its own cache subdirectory: incremental re-analysis is
@@ -623,9 +623,6 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
                   WS,
                   Warm.RU.TxnFingerprintHits + Warm.RF.TxnFingerprintHits,
                   Warm.RU.PairVerdictsReused + Warm.RF.PairVerdictsReused,
-                  Warm.RU.ConstraintCacheHits + Warm.RF.ConstraintCacheHits,
-                  Warm.RU.ConstraintCacheMisses +
-                      Warm.RF.ConstraintCacheMisses,
                   Warm.RU.SolverCtxReuses + Warm.RF.SolverCtxReuses,
                   Identical};
       ColdSeconds += Cold.Seconds;
@@ -634,8 +631,6 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
       WarmSolves += WS;
       TxnHits += Row.TxnHits;
       PairReused += Row.PairReused;
-      GreenHits += Row.GreenHits;
-      GreenMisses += Row.GreenMisses;
       CtxReuses += Row.CtxReuses;
       Rows.push_back(Row);
     }
@@ -652,46 +647,35 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
                 Row.WarmSolves,
                 static_cast<unsigned long long>(Row.PairReused),
                 Row.Identical ? "identical" : "MISMATCH");
-  double QueryRatio =
-      WarmSolves ? static_cast<double>(ColdSolves) / WarmSolves : 0.0;
-  bool RatioOk = WarmSolves == 0 || QueryRatio >= 10.0;
+  bool SolvesOk = WarmSolves == 0;
   std::printf("  %-18s %9.3f %9.3f %7llu %7llu         %s\n", "TOTAL",
               ColdSeconds, WarmSeconds,
               static_cast<unsigned long long>(ColdSolves),
               static_cast<unsigned long long>(WarmSolves),
               Mismatches || EditFailures ? "FAILURES" : "all identical");
-  std::printf("  warm-edit reached Z3 %.1fx less often than cold "
-              "(target >= 10x: %s)\n",
-              WarmSolves ? QueryRatio : 0.0, RatioOk ? "ok" : "MISSED");
+  std::printf("  warm-edit Z3 solves: %llu (target 0: %s)\n",
+              static_cast<unsigned long long>(WarmSolves),
+              SolvesOk ? "ok" : "MISSED");
 
   FILE *F = std::fopen(OutPath, "w");
   if (!F) {
     std::fprintf(stderr, "error: cannot write %s\n", OutPath);
     return 1;
   }
-  double GreenRate = GreenHits + GreenMisses
-                         ? static_cast<double>(GreenHits) /
-                               static_cast<double>(GreenHits + GreenMisses)
-                         : 0.0;
   std::fprintf(
       F,
       "{\n  \"projects\": %u,\n  \"cold_seconds\": %.3f,\n"
       "  \"warm_edit_seconds\": %.3f,\n  \"cold_smt_solves\": %llu,\n"
-      "  \"warm_edit_smt_solves\": %llu,\n  \"query_ratio\": %.1f,\n"
+      "  \"warm_edit_smt_solves\": %llu,\n"
       "  \"txn_fingerprint_hits\": %llu,\n  \"pair_verdicts_reused\": %llu,\n"
-      "  \"constraint_cache_hits\": %llu,\n"
-      "  \"constraint_cache_misses\": %llu,\n"
-      "  \"constraint_cache_hit_rate\": %.3f,\n"
       "  \"solver_ctx_reuses\": %llu,\n"
       "  \"verdict_mismatches\": %u,\n  \"edit_failures\": %u,\n"
       "  \"apps\": [\n",
       Projects, ColdSeconds, WarmSeconds,
       static_cast<unsigned long long>(ColdSolves),
-      static_cast<unsigned long long>(WarmSolves), QueryRatio,
+      static_cast<unsigned long long>(WarmSolves),
       static_cast<unsigned long long>(TxnHits),
       static_cast<unsigned long long>(PairReused),
-      static_cast<unsigned long long>(GreenHits),
-      static_cast<unsigned long long>(GreenMisses), GreenRate,
       static_cast<unsigned long long>(CtxReuses), Mismatches, EditFailures);
   for (size_t I = 0; I != Rows.size(); ++I) {
     const IncrRow &Row = Rows[I];
@@ -709,7 +693,7 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
   std::fprintf(F, "  ]\n}\n");
   std::fclose(F);
   std::printf("  incremental comparison written to %s\n", OutPath);
-  return Failures || Mismatches || EditFailures || !RatioOk ? 1 : 0;
+  return Failures || Mismatches || EditFailures || !SolvesOk ? 1 : 0;
 }
 
 //===----------------------------------------------------------------------===//

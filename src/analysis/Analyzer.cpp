@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <functional>
 #include <future>
@@ -55,13 +56,12 @@ public:
       const SatAssist *SatAsst, const Deadline *Dl)
       : A(Hist), O(Opts), Mask(std::move(EventMask)), Oracle(CondOracle),
         Assist(SatAsst), DL(Dl) {
-    // The incremental layers are disabled in prefilter-check mode: check
+    // The incremental layer is disabled in prefilter-check mode: check
     // mode exists to actually run Z3 against domain proofs, and a replayed
     // verdict would mask the disagreement it is hunting for.
-    IncrOn = O.UseIncremental && !O.CheckPrefilter &&
-             (O.Incremental || O.Green);
-    if (IncrOn && O.Incremental) {
+    if (O.UseIncremental && !O.CheckPrefilter && O.Incremental) {
       StageTimer Timer(IncrSec);
+      Incr = O.Incremental;
       IncrCtx = incrementalContextDigest(A, O, Mask);
     }
   }
@@ -79,7 +79,8 @@ private:
   /// One worker unit of the bounded check: SSG + candidate cycles + SMT for
   /// a single unfolding. Pure apart from the shared oracle (thread-safe).
   struct UnfoldingOutcome {
-    bool PrunedEarly = false; ///< subsumed at task start; result not needed
+    bool PrunedEarly = false; ///< subsumed before the commit; result not
+                              ///< needed
     bool Cancelled = false;   ///< deadline expired before the solve started
     bool CandTruncated = false;
     bool Flagged = false; ///< the instantiated SSG admitted candidates
@@ -92,11 +93,40 @@ private:
     UnfoldingResult Res;
     SolveTelemetry Tel;
     bool CEValid = false;
-    double SSGSec = 0, SmtSec = 0, PrefilterSec = 0, IncrSec = 0;
+    double SSGSec = 0, SmtSec = 0, PrefilterSec = 0, IncrSec = 0,
+           ValidateSec = 0;
   };
-  UnfoldingOutcome solveOne(const Unfolding &U,
-                            const std::vector<Violation> *Committed,
-                            std::mutex *CommitMu, Z3Env *Env);
+  /// Coordination between the workers and the commit loop of one parallel
+  /// bounded round, guarded by Mu.
+  struct CommitState {
+    std::mutex Mu;
+    std::condition_variable Advanced; ///< signalled as Consumed grows
+    const std::vector<Violation> *Committed = nullptr;
+    size_t Consumed = 0; ///< outcomes the commit loop has taken, in order
+    /// Per unfolding index: the sorted transactions of the cycle a worker
+    /// found or replayed for it, published ahead of its commit.
+    std::vector<std::vector<unsigned>> Cycles;
+  };
+  /// \p CS and \p Index are set on parallel rounds only.
+  UnfoldingOutcome solveOne(const Unfolding &U, Z3Env *Env,
+                            CommitState *CS = nullptr, size_t Index = 0);
+  /// Parallel rounds: true when \p U is subsumed by the committed
+  /// violations, after waiting for the commit of every earlier unfolding
+  /// whose published cycle lies inside \p U's transactions.
+  bool heldBack(const Unfolding &U, size_t Index, CommitState &CS) const;
+  /// Replays incremental record \p Rec into \p Out; false when the record
+  /// cannot be replayed (a cycle without a witness that fits).
+  bool replay(const IncrRecord &Rec, const Unfolding &U,
+              const std::vector<CandidateCycle> &Cands,
+              UnfoldingOutcome &Out) const;
+  /// Folds a worker outcome's stage timers into the run's.
+  void addStageTimes(const UnfoldingOutcome &Out) {
+    SSGSec += Out.SSGSec;
+    SmtSec += Out.SmtSec;
+    PrefilterSec += Out.PrefilterSec;
+    IncrSec += Out.IncrSec;
+    ValidateSec += Out.ValidateSec;
+  }
   /// Applies one outcome to \p R exactly as the sequential loop would,
   /// re-checking subsumption against the violations committed so far.
   /// \p K / \p Index identify the query for the trace (commit order).
@@ -131,6 +161,7 @@ private:
     R.EnumSeconds += EnumSec;
     R.SmtSeconds += SmtSec;
     R.PrefilterSeconds += PrefilterSec;
+    R.ValidateSeconds += ValidateSec;
     R.LayoutsFiltered += LayoutsFilteredGen;
     R.SMTRetries += SmtRetriesGen;
     R.SmtQueries += SmtQueriesGen;
@@ -158,7 +189,8 @@ private:
   // execute(); see AnalysisResult for their meaning. LayoutsFilteredGen
   // counts viability-filtered layouts of the generalization check (whose
   // result object is const at filter time).
-  double SSGSec = 0, EnumSec = 0, SmtSec = 0, PrefilterSec = 0;
+  double SSGSec = 0, EnumSec = 0, SmtSec = 0, PrefilterSec = 0,
+         ValidateSec = 0;
   unsigned LayoutsFilteredGen = 0;
   // Governance accumulators outside the result object: the generalization
   // check sees a const result, and the viability filter runs under both
@@ -174,15 +206,11 @@ private:
   double IncrSec = 0; ///< digest/key computation + record lookups
   mutable unsigned DfsExhaustions = 0;
   bool DeadlineHit = false;
-  /// True when the incremental layers (record store / constraint cache)
-  /// participate in this run; see the constructor.
-  bool IncrOn = false;
-  /// The run-level context digest scoping every record key (empty when the
-  /// record store is off).
+  /// The incremental record store when it participates in this run (see
+  /// the constructor), else null.
+  IncrementalStore *Incr = nullptr;
+  /// The run-level context digest scoping every record key.
   std::string IncrCtx;
-  /// The constraint cache to thread into the SMT stage (null when the
-  /// incremental layers are off for this run).
-  ConstraintCache *green() const { return IncrOn ? O.Green : nullptr; }
   std::vector<SSGViolation> Components; // Stage-1 suspicious components
 
   /// The Z3 environment reused by every main-thread SMT query of this run
@@ -384,9 +412,27 @@ unsigned Run::effectiveThreads(size_t Work) const {
       std::min<size_t>(T, std::max<size_t>(Work, 1)));
 }
 
-Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
-                                    const std::vector<Violation> *Committed,
-                                    std::mutex *CommitMu, Z3Env *Env) {
+bool Run::heldBack(const Unfolding &U, size_t Index, CommitState &CS) const {
+  std::vector<unsigned> Set = U.origTxnSet();
+  std::unique_lock<std::mutex> Lock(CS.Mu);
+  for (size_t I = CS.Consumed; I < Index; I = std::max(I + 1, CS.Consumed)) {
+    const std::vector<unsigned> &Cycle = CS.Cycles[I];
+    if (Cycle.empty() ||
+        !std::includes(Set.begin(), Set.end(), Cycle.begin(), Cycle.end()))
+      continue;
+    // Unfolding I's cycle will subsume this one once committed: wait for
+    // that instead of solving a query whose outcome would be discarded.
+    // The commit loop consumes every outcome in order, and all tasks
+    // before this one have started (FIFO pool), so the wait ends.
+    CS.Advanced.wait(Lock, [&] { return CS.Consumed > I; });
+    if (subsumed(U, *CS.Committed))
+      return true;
+  }
+  return subsumed(U, *CS.Committed);
+}
+
+Run::UnfoldingOutcome Run::solveOne(const Unfolding &U, Z3Env *Env,
+                                    CommitState *CS, size_t Index) {
   UnfoldingOutcome Out;
   if (DL->expired()) {
     // Cooperative cancellation: report the unit as cancelled without doing
@@ -394,17 +440,25 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
     Out.Cancelled = true;
     return Out;
   }
-  if (Committed) {
-    // Early pruning against the violations committed so far. Safe for
-    // determinism: the committed set only grows, so anything subsumed now
-    // is still subsumed at commit time, where the authoritative (in-order)
-    // re-check happens and the result of this task is not consulted.
-    std::lock_guard<std::mutex> Lock(*CommitMu);
-    if (subsumed(U, *Committed)) {
-      Out.PrunedEarly = true;
-      return Out;
-    }
+  // Early pruning against the violations committed so far, here and again
+  // before the solve. Safe for determinism: the committed set only grows,
+  // so anything subsumed now is still subsumed at commit time, where the
+  // authoritative (in-order) re-check happens and the result of this task
+  // is not consulted.
+  if (CS && heldBack(U, Index, *CS)) {
+    Out.PrunedEarly = true;
+    return Out;
   }
+  // Publishes a found or replayed cycle to the workers of later unfoldings.
+  auto Publish = [&] {
+    if (!CS || Out.Res.Status != UnfoldingResult::CycleFound)
+      return;
+    std::vector<unsigned> Cycle = Out.Res.CE->OrigTxns;
+    std::sort(Cycle.begin(), Cycle.end());
+    Cycle.erase(std::unique(Cycle.begin(), Cycle.end()), Cycle.end());
+    std::lock_guard<std::mutex> Lock(CS->Mu);
+    CS->Cycles[Index] = std::move(Cycle);
+  };
   SSG G(U.H, O.Features, U.SessionTags);
   std::vector<CandidateCycle> Cands;
   {
@@ -418,26 +472,25 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
   if (Cands.empty())
     return Out;
   Out.Flagged = true;
-  // Incremental record lookup, ahead of the prefilter: a persisted NoCycle
-  // outcome replays the whole prefilter+solve tail of this unit, counters
+  // Incremental record lookup, ahead of the prefilter: a persisted outcome
+  // replays the whole prefilter+solve tail of this unit, counters
   // included, so a warm run's non-timing statistics match a cold run's.
   // The key covers the unfolding's name-free content and the exact
-  // candidate set; the store only ever holds NoCycle outcomes (cycles are
-  // re-solved for their counter-example text, unknowns are never frozen).
+  // candidate set (see analysis/Incremental.h for what is stored).
   std::string RecKey;
-  if (IncrOn && O.Incremental) {
+  const IncrRecord *Rec = nullptr;
+  if (Incr) {
     StageTimer Timer(Out.IncrSec);
     RecKey = unfoldingRecordKey(IncrCtx, U, Cands, "bounded");
-    if (const IncrRecord *Rec = O.Incremental->lookup(RecKey)) {
-      Out.Reused = true;
-      Out.Prefiltered = Rec->Prefiltered;
-      Out.PrefilterUnknown = Rec->PrefilterUnknown;
-      Out.Res.Status = UnfoldingResult::NoCycle;
-      Out.Tel.Attempts = Rec->Attempts;
-      Out.Tel.CtxReuses = Rec->CtxReuses;
-      Out.Tel.RlimitBudget = Rec->RlimitBudget;
-      return Out;
-    }
+    Rec = Incr->lookup(RecKey);
+  }
+  if (Rec && replay(*Rec, U, Cands, Out)) {
+    Publish();
+    return Out;
+  }
+  if (CS && heldBack(U, Index, *CS)) {
+    Out.PrunedEarly = true;
+    return Out;
   }
   if (O.UsePrefilter) {
     // The domain prefilter: when every candidate is proven unrealizable,
@@ -456,11 +509,8 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
   if (Out.Prefiltered) {
     Out.Res.Status = UnfoldingResult::NoCycle;
     if (!O.CheckPrefilter) {
-      if (!RecKey.empty())
-        O.Incremental->record(RecKey, {/*Prefiltered=*/true,
-                                       /*PrefilterUnknown=*/false,
-                                       /*Attempts=*/0, /*CtxReuses=*/0,
-                                       /*RlimitBudget=*/0});
+      if (Incr)
+        Incr->record(RecKey, {.Prefiltered = true});
       return Out;
     }
     // Debug cross-check: solve anyway. A cycle found by Z3 refutes the
@@ -477,6 +527,7 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
       Out.PrefilterDisagree = true;
       Out.Prefiltered = false;
       Out.Res = std::move(Check);
+      StageTimer Timer(Out.ValidateSec);
       Out.CEValid = validateCE(*Out.Res.CE);
     }
     return Out;
@@ -485,17 +536,49 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
     StageTimer Timer(Out.SmtSec);
     SolverPolicy P{O.Budget, DL};
     Out.Res = solveUnfolding(U, G, Cands, O.Features, P, Oracle, Env,
-                             &Out.Tel, green());
+                             &Out.Tel);
   }
-  if (Out.Res.Status == UnfoldingResult::CycleFound)
+  bool Cycle = Out.Res.Status == UnfoldingResult::CycleFound;
+  if (Cycle) {
+    Publish();
+    StageTimer Timer(Out.ValidateSec);
     Out.CEValid = validateCE(*Out.Res.CE);
-  else if (!RecKey.empty() &&
-           Out.Res.Status == UnfoldingResult::NoCycle && !Out.Tel.Error)
-    O.Incremental->record(RecKey,
-                          {/*Prefiltered=*/false, Out.PrefilterUnknown,
-                           Out.Tel.Attempts, Out.Tel.CtxReuses,
-                           Out.Tel.RlimitBudget});
+  }
+  // Unknowns and errors are never frozen, and a cycle only with its
+  // canonical witness (UnfoldingResult::Witness).
+  if (Incr && !Out.Tel.Error &&
+      (Out.Res.Status == UnfoldingResult::NoCycle || Out.Res.Witness))
+    Incr->record(RecKey, {.PrefilterUnknown = Out.PrefilterUnknown,
+                          .Attempts = Out.Tel.Attempts,
+                          .CtxReuses = Out.Tel.CtxReuses,
+                          .RlimitBudget = Out.Tel.RlimitBudget,
+                          .Cycle = Cycle,
+                          .Witness = std::move(Out.Res.Witness)});
   return Out;
+}
+
+bool Run::replay(const IncrRecord &Rec, const Unfolding &U,
+                 const std::vector<CandidateCycle> &Cands,
+                 UnfoldingOutcome &Out) const {
+  if (Rec.Cycle && !(Rec.Witness && Rec.Witness->fits(U, Cands.size())))
+    return false;
+  Out.Reused = true;
+  Out.Prefiltered = Rec.Prefiltered;
+  Out.PrefilterUnknown = Rec.PrefilterUnknown;
+  Out.Tel.Attempts = Rec.Attempts;
+  Out.Tel.CtxReuses = Rec.CtxReuses;
+  Out.Tel.RlimitBudget = Rec.RlimitBudget;
+  if (!Rec.Cycle) {
+    Out.Res.Status = UnfoldingResult::NoCycle;
+    return true;
+  }
+  // The counter-example is rebuilt from the stored model with the current
+  // program's names and validated afresh, exactly as a solved one is.
+  StageTimer Timer(Out.ValidateSec);
+  Out.Res.Status = UnfoldingResult::CycleFound;
+  Out.Res.CE = buildCounterExample(U, Cands, *Rec.Witness);
+  Out.CEValid = validateCE(*Out.Res.CE);
+  return true;
 }
 
 void Run::commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
@@ -553,17 +636,16 @@ void Run::commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
     Rec.Stage = "bounded";
     Rec.K = K;
     Rec.Unfolding = Index;
-    // Prefiltered, reused and constraint-cache-answered queries issued no
-    // solve attempt; for reused records the replayed count matches the
-    // cold run's trace line.
-    Rec.Attempts = Out.Prefiltered || Out.Reused || Out.Tel.GreenHit
+    // Prefiltered and reused queries issued no solve attempt; for reused
+    // records the replayed count matches the cold run's trace line.
+    Rec.Attempts = Out.Prefiltered || Out.Reused
                        ? Out.Tel.Attempts
                        : std::max(1u, Out.Tel.Attempts);
     Rec.RlimitBudget = Out.Tel.RlimitBudget;
     Rec.RlimitSpent = Out.Tel.RlimitSpent;
     Rec.Outcome = Outcome;
     Rec.Prefiltered = Out.Prefiltered;
-    Rec.Reused = Out.Reused || Out.Tel.GreenHit;
+    Rec.Reused = Out.Reused;
     Rec.WallMs = (Out.SmtSec + Out.PrefilterSec + Out.IncrSec) * 1000.0;
     O.Trace->append(Rec);
   }
@@ -622,11 +704,8 @@ bool Run::checkBounded(unsigned K, AnalysisResult &R,
         ++R.UnfoldingsSubsumed;
         continue;
       }
-      UnfoldingOutcome Out = solveOne(U, nullptr, nullptr, &seqEnv());
-      SSGSec += Out.SSGSec;
-      SmtSec += Out.SmtSec;
-      PrefilterSec += Out.PrefilterSec;
-      IncrSec += Out.IncrSec;
+      UnfoldingOutcome Out = solveOne(U, &seqEnv());
+      addStageTimes(Out);
       if (Out.Cancelled) {
         R.UnfoldingsDeferred += static_cast<unsigned>(Unfoldings.size() - I);
         R.DeadlineExpired = true;
@@ -640,44 +719,48 @@ bool Run::checkBounded(unsigned K, AnalysisResult &R,
   // Parallel: workers solve unfoldings speculatively; the main thread
   // commits results strictly in enumeration order, so violation sets and
   // every statistic are identical to the sequential run. Workers prune
-  // against the committed violations (guarded by CommitMu) to bound the
-  // speculative waste. The pool is bound to the deadline: once it expires,
-  // workers short-circuit at task entry and the commit loop defers every
-  // unit from the first cancelled/expired index on — outcomes that raced
-  // past the expiry are discarded rather than committed, so a deadline run
-  // commits a prefix of the enumeration order (where the cut lands is
-  // timing-dependent; without a deadline, runs stay bit-identical).
-  std::mutex CommitMu;
+  // against the committed violations, and hold a solve back while an
+  // earlier unfolding's cycle that would subsume it awaits its commit, to
+  // bound the speculative waste. The pool is bound to the deadline: once
+  // it expires, workers short-circuit at task entry and the commit loop
+  // defers every unit from the first cancelled/expired index on — outcomes
+  // that raced past the expiry are discarded rather than committed, so a
+  // deadline run commits a prefix of the enumeration order (where the cut
+  // lands is timing-dependent; without a deadline, runs stay
+  // bit-identical).
+  CommitState CS;
+  CS.Committed = &R.Violations;
+  CS.Cycles.resize(Unfoldings.size());
   ThreadPool Pool(Threads, DL);
   std::vector<std::future<UnfoldingOutcome>> Futures;
   Futures.reserve(Unfoldings.size());
-  for (const Unfolding &U : Unfoldings)
-    Futures.push_back(
-        Pool.submit([this, &U, &R, &CommitMu, &Pool]() -> UnfoldingOutcome {
-          if (Pool.cancelled()) {
-            UnfoldingOutcome Out;
-            Out.Cancelled = true;
-            return Out;
-          }
-          if (!WorkerEnv)
-            WorkerEnv = std::make_unique<Z3Env>();
-          return solveOne(U, &R.Violations, &CommitMu, WorkerEnv.get());
-        }));
+  for (size_t I = 0; I != Unfoldings.size(); ++I)
+    Futures.push_back(Pool.submit([this, &Unfoldings, I, &CS,
+                                   &Pool]() -> UnfoldingOutcome {
+      if (Pool.cancelled()) {
+        UnfoldingOutcome Out;
+        Out.Cancelled = true;
+        return Out;
+      }
+      if (!WorkerEnv)
+        WorkerEnv = std::make_unique<Z3Env>();
+      return solveOne(Unfoldings[I], WorkerEnv.get(), &CS, I);
+    }));
   bool Winding = false;
   unsigned Deferred = 0;
   for (size_t I = 0; I != Unfoldings.size(); ++I) {
     UnfoldingOutcome Out = Futures[I].get();
-    SSGSec += Out.SSGSec;
-    SmtSec += Out.SmtSec;
-    PrefilterSec += Out.PrefilterSec;
+    addStageTimes(Out);
+    std::lock_guard<std::mutex> Lock(CS.Mu);
     if (Winding || Out.Cancelled || DL->expired()) {
       Winding = true;
-      ++Deferred;
-      continue; // drain the remaining futures, discarding outcomes
+      ++Deferred; // drain the remaining futures, discarding outcomes
+    } else {
+      commitOutcome(Unfoldings[I], std::move(Out), R, K,
+                    static_cast<long>(I));
     }
-    std::lock_guard<std::mutex> Lock(CommitMu);
-    commitOutcome(Unfoldings[I], std::move(Out), R, K,
-                  static_cast<long>(I));
+    ++CS.Consumed;
+    CS.Advanced.notify_all();
   }
   if (Winding) {
     R.UnfoldingsDeferred += Deferred;
@@ -902,7 +985,6 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
     UnfoldingResult Res;
     Res.Status = UnfoldingResult::NoCycle;
     {
-      StageTimer Timer(SmtSec);
       SolverPolicy P{O.Budget, DL};
       // One shared solver context per unfolding: the session layout's base
       // encoding (orders, control flow, facts) is built once and chunks
@@ -927,17 +1009,20 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
         bool Prefiltered = false;
         bool Reused = false;
         // Incremental record lookup first (see solveOne): a persisted
-        // NoCycle outcome replays the chunk's prefilter+solve counters.
+        // outcome replays the chunk's prefilter+solve counters. A cycle
+        // record replays only the "blocked" status: a generalization-stage
+        // cycle is never reported.
         std::string RecKey;
-        if (IncrOn && O.Incremental) {
+        if (Incr) {
           double IncrChunkSec = 0;
           {
             StageTimer IncrTimer(IncrChunkSec);
             RecKey = unfoldingRecordKey(IncrCtx, U, Chunk, "generalize");
-            if (const IncrRecord *Rec = O.Incremental->lookup(RecKey)) {
+            if (const IncrRecord *Rec = Incr->lookup(RecKey)) {
               Reused = true;
               Prefiltered = Rec->Prefiltered;
-              Res.Status = UnfoldingResult::NoCycle;
+              Res.Status = Rec->Cycle ? UnfoldingResult::CycleFound
+                                      : UnfoldingResult::NoCycle;
               Tel.Attempts = Rec->Attempts;
               Tel.CtxReuses = Rec->CtxReuses;
               Tel.RlimitBudget = Rec->RlimitBudget;
@@ -977,18 +1062,18 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
           if (Prefiltered && !O.CheckPrefilter) {
             Res.Status = UnfoldingResult::NoCycle;
             ++SmtQueriesPrefilteredGen;
-            if (!RecKey.empty())
-              O.Incremental->record(RecKey, {/*Prefiltered=*/true,
-                                             /*PrefilterUnknown=*/false,
-                                             /*Attempts=*/0, /*CtxReuses=*/0,
-                                             /*RlimitBudget=*/0});
+            if (Incr)
+              Incr->record(RecKey, {.Prefiltered = true});
           } else {
+            double SolveSec = 0;
             {
-              StageTimer ChunkTimer(ChunkSec);
+              StageTimer SolveTimer(SolveSec);
               if (!LS)
-                LS.emplace(U, G, O.Features, P, Oracle, &seqEnv(), green());
+                LS.emplace(U, G, O.Features, P, Oracle, &seqEnv());
               Res = LS->solve(Chunk, &Tel);
             }
+            SmtSec += SolveSec;
+            ChunkSec += SolveSec;
             if (Prefiltered) {
               if (Res.Status == UnfoldingResult::CycleFound) {
                 ++PrefilterDisagreeGen; // Z3 refuted the domain proof
@@ -1007,12 +1092,13 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
             SolverCtxReusesGen += Tel.CtxReuses;
             if (Tel.Attempts > 0)
               ++SmtSolvesGen;
-            if (!RecKey.empty() &&
-                Res.Status == UnfoldingResult::NoCycle && !Tel.Error)
-              O.Incremental->record(RecKey, {/*Prefiltered=*/false,
-                                             PrefUnknown, Tel.Attempts,
-                                             Tel.CtxReuses,
-                                             Tel.RlimitBudget});
+            bool Cycle = Res.Status == UnfoldingResult::CycleFound;
+            if (Incr && !Tel.Error && Res.Status != UnfoldingResult::Unknown)
+              Incr->record(RecKey, {.PrefilterUnknown = PrefUnknown,
+                                    .Attempts = Tel.Attempts,
+                                    .CtxReuses = Tel.CtxReuses,
+                                    .RlimitBudget = Tel.RlimitBudget,
+                                    .Cycle = Cycle});
           }
         }
         if (O.Trace) {
@@ -1020,9 +1106,8 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
           Rec.Stage = "generalize";
           Rec.K = K;
           Rec.Unfolding = GenIndex;
-          Rec.Attempts = Prefiltered || Reused || Tel.GreenHit
-                             ? Tel.Attempts
-                             : std::max(1u, Tel.Attempts);
+          Rec.Attempts = Prefiltered || Reused ? Tel.Attempts
+                                               : std::max(1u, Tel.Attempts);
           Rec.RlimitBudget = Tel.RlimitBudget;
           Rec.RlimitSpent = Tel.RlimitSpent;
           Rec.Outcome = Res.Status == UnfoldingResult::NoCycle ? "no-cycle"
@@ -1030,7 +1115,7 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
                             ? "cycle"
                             : (Tel.Error ? "error" : "unknown");
           Rec.Prefiltered = Prefiltered;
-          Rec.Reused = Reused || Tel.GreenHit;
+          Rec.Reused = Reused;
           Rec.WallMs = ChunkSec * 1000.0;
           O.Trace->append(Rec);
         }
@@ -1243,6 +1328,7 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
       R.EnumSeconds += Sub.EnumSeconds;
       R.SmtSeconds += Sub.SmtSeconds;
       R.PrefilterSeconds += Sub.PrefilterSeconds;
+      R.ValidateSeconds += Sub.ValidateSeconds;
       R.IncrementalSeconds += Sub.IncrementalSeconds;
     }
     R.Generalized = AllGeneralized;
@@ -1260,10 +1346,6 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
   R.SatCacheMisses = OS.SatMisses;
   R.SatAssistProven = OS.SatAssistProven;
   R.PairVerdictsReused = OS.ImportedHits;
-  if (O.Green && O.UseIncremental && !O.CheckPrefilter) {
-    R.ConstraintCacheHits = O.Green->hits();
-    R.ConstraintCacheMisses = O.Green->misses();
-  }
   R.BackendSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
@@ -1339,15 +1421,11 @@ std::string c4::reportStr(const AbstractHistory &A, const AnalysisResult &R) {
               R.SSGSeconds, R.EnumSeconds, R.SmtSeconds);
   // The incremental layers only report when something was actually reused
   // (or attempted): cold runs without a cache keep their baseline report.
-  if (R.TxnFingerprintHits || R.PairVerdictsReused || R.ConstraintCacheHits ||
-      R.ConstraintCacheMisses || R.SolverCtxReuses)
+  if (R.TxnFingerprintHits || R.PairVerdictsReused || R.SolverCtxReuses)
     Out += strf("incremental: %llu txn fingerprint hit(s), %llu pair "
-                "verdict(s) reused, constraint cache %llu hits / %llu "
-                "misses, %llu solver ctx reuse(s); %.3fs\n",
+                "verdict(s) reused, %llu solver ctx reuse(s); %.3fs\n",
                 static_cast<unsigned long long>(R.TxnFingerprintHits),
                 static_cast<unsigned long long>(R.PairVerdictsReused),
-                static_cast<unsigned long long>(R.ConstraintCacheHits),
-                static_cast<unsigned long long>(R.ConstraintCacheMisses),
                 static_cast<unsigned long long>(R.SolverCtxReuses),
                 R.IncrementalSeconds);
   (void)A;

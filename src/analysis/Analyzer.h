@@ -108,17 +108,13 @@ struct AnalyzerOptions {
   /// reuse counters (like the oracle cache counters) vary with cache state
   /// and are normalized by the differential tooling.
   bool UseIncremental = true;
-  /// Optional incremental store of per-unfolding NoCycle records (see
+  /// Optional incremental store of per-unfolding outcome records (see
   /// analysis/Incremental.h). Lookups consult only the immutable base
   /// loaded at run start; fresh records accumulate run-locally, so hits
   /// and misses are deterministic across thread counts. Ignored when
   /// UseIncremental is false or CheckPrefilter is on (check mode must
   /// actually solve to detect disagreements).
   IncrementalStore *Incremental = nullptr;
-  /// Optional Green-style canonicalized constraint cache shared with the
-  /// SMT stage (see smt/ConstraintCache.h). Same base/overlay determinism
-  /// contract and the same UseIncremental / CheckPrefilter gating.
-  ConstraintCache *Green = nullptr;
   /// §9.1 filters.
   bool DisplayFilter = false;
   bool UseAtomicSets = false;
@@ -175,8 +171,8 @@ struct AnalysisResult {
   unsigned SMTUnknown = 0;
   unsigned SMTRetries = 0; ///< escalated re-solves after an unknown
   unsigned SmtSolves = 0; ///< queries that actually reached Z3 — SmtQueries
-                          ///< minus incremental-record and constraint-cache
-                          ///< reuse (the warm-run speedup metric)
+                          ///< minus incremental-record replays (the
+                          ///< warm-run speedup metric)
   uint64_t RlimitSpent = 0; ///< solver resource units across all queries
   bool Truncated = false; ///< an enumeration cap was hit
   /// The --deadline-ms budget expired; the result is partial but sound
@@ -203,7 +199,6 @@ struct AnalysisResult {
   uint64_t PairVerdictsReused = 0; ///< oracle sat verdicts answered from
                                    ///< the imported snapshot (SSG edge and
                                    ///< commutativity/absorption reuse)
-  uint64_t ConstraintCacheHits = 0, ConstraintCacheMisses = 0;
   uint64_t SolverCtxReuses = 0; ///< solver contexts shared instead of
                                 ///< rebuilt (retry re-checks + generalize
                                 ///< chunk reuse)
@@ -213,6 +208,8 @@ struct AnalysisResult {
   double EnumSeconds = 0; ///< unfolding enumeration (incl. layout filter)
   double SmtSeconds = 0;  ///< ϕ_cyclic encoding + solving
   double PrefilterSeconds = 0; ///< domain prefilter over candidate cycles
+  double ValidateSeconds = 0; ///< witness validation, plus the witness
+                              ///< rebuild of replayed cycle records
 
   bool serializable() const { return Violations.empty() && Generalized; }
 

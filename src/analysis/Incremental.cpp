@@ -12,7 +12,9 @@
 #include "support/Fingerprint.h"
 #include "unfold/Unfolder.h"
 
+#include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <unordered_map>
@@ -21,7 +23,133 @@ using namespace c4;
 
 namespace {
 
-constexpr const char *SnapshotHeader = "c4-incr-snapshot 1";
+constexpr const char *SnapshotHeader = "c4-incr-snapshot 2";
+
+/// Strict reader of the space-separated integers on one line.
+class Fields {
+public:
+  explicit Fields(const char *Line) : P(Line) {}
+
+  /// The next ` <integer>` in [Min, Max].
+  std::optional<long long> num(long long Min, long long Max) {
+    if (*P != ' ' || !(std::isdigit(static_cast<unsigned char>(P[1])) ||
+                       (P[1] == '-' && std::isdigit(
+                                           static_cast<unsigned char>(P[2])))))
+      return std::nullopt;
+    char *End = nullptr;
+    errno = 0;
+    long long V = std::strtoll(P + 1, &End, 10);
+    if (errno == ERANGE || V < Min || V > Max)
+      return std::nullopt;
+    P = End;
+    return V;
+  }
+
+  /// The next ` <word>` of exactly \p Len characters from '0'/'1'.
+  std::optional<std::vector<bool>> bits(size_t Len) {
+    if (*P != ' ')
+      return std::nullopt;
+    std::vector<bool> Out(Len);
+    for (size_t I = 0; I != Len; ++I) {
+      char C = P[1 + I];
+      if (C != '0' && C != '1')
+        return std::nullopt;
+      Out[I] = C == '1';
+    }
+    P += 1 + Len;
+    return Out;
+  }
+
+  /// The next ` <c>`.
+  bool chr(char C) {
+    if (P[0] != ' ' || P[1] != C)
+      return false;
+    P += 2;
+    return true;
+  }
+
+  bool atEnd() const { return *P == 0; }
+
+private:
+  const char *P;
+};
+
+constexpr long long MaxU32 = 0xFFFFFFFFll;
+
+void appendWitness(std::string &Out, const WitnessModel &W) {
+  Out += 'w';
+  auto Num = [&Out](long long V) {
+    Out += ' ';
+    Out += std::to_string(V);
+  };
+  Num(W.Cycle);
+  Num(static_cast<long long>(W.TxnPresent.size()));
+  for (size_t T = 0; T != W.TxnPresent.size(); ++T) {
+    Num(W.TxnPresent[T]);
+    Num(W.TxnPos[T]);
+  }
+  Out += ' ';
+  for (const std::vector<bool> &Row : W.Vis)
+    for (bool B : Row)
+      Out += B ? '1' : '0';
+  Num(static_cast<long long>(W.EvPresent.size()));
+  for (size_t E = 0; E != W.EvPresent.size(); ++E) {
+    Num(W.EvPresent[E]);
+    Num(W.EvPos[E]);
+    Num(static_cast<long long>(W.Vals[E].size()));
+    for (int64_t V : W.Vals[E])
+      Num(V);
+  }
+  Out += '\n';
+}
+
+/// Parses a line written by appendWitness().
+std::optional<WitnessModel> parseWitness(const std::string &Line) {
+  if (Line.empty() || Line[0] != 'w')
+    return std::nullopt;
+  Fields F(Line.c_str() + 1);
+  WitnessModel W;
+  auto Cycle = F.num(0, MaxU32);
+  auto NT = F.num(1, 1 << 12);
+  if (!Cycle || !NT)
+    return std::nullopt;
+  W.Cycle = static_cast<unsigned>(*Cycle);
+  for (long long T = 0; T != *NT; ++T) {
+    auto Present = F.num(0, 1);
+    auto Pos = F.num(LLONG_MIN, LLONG_MAX);
+    if (!Present || !Pos)
+      return std::nullopt;
+    W.TxnPresent.push_back(*Present != 0);
+    W.TxnPos.push_back(*Pos);
+  }
+  auto Vis = F.bits(static_cast<size_t>(*NT * *NT));
+  if (!Vis)
+    return std::nullopt;
+  for (long long S = 0; S != *NT; ++S)
+    W.Vis.emplace_back(Vis->begin() + S * *NT, Vis->begin() + (S + 1) * *NT);
+  auto NE = F.num(0, 1 << 20);
+  if (!NE)
+    return std::nullopt;
+  for (long long E = 0; E != *NE; ++E) {
+    auto Present = F.num(0, 1);
+    auto Pos = F.num(LLONG_MIN, LLONG_MAX);
+    auto NV = F.num(0, 1 << 10);
+    if (!Present || !Pos || !NV)
+      return std::nullopt;
+    W.EvPresent.push_back(*Present != 0);
+    W.EvPos.push_back(*Pos);
+    W.Vals.emplace_back();
+    for (long long I = 0; I != *NV; ++I) {
+      auto V = F.num(LLONG_MIN, LLONG_MAX);
+      if (!V)
+        return std::nullopt;
+      W.Vals.back().push_back(*V);
+    }
+  }
+  if (!F.atEnd())
+    return std::nullopt;
+  return W;
+}
 
 } // namespace
 
@@ -180,19 +308,19 @@ std::string IncrementalSnapshot::serialize() const {
     Out += '\n';
   }
   Out += "records " + std::to_string(Records.size()) + '\n';
+  // One line per record: key, the replayed counters and the outcome —
+  // `n` NoCycle, `c` CycleFound, `w` CycleFound with a witness line next.
   for (const auto &[Key, R] : Records) {
     Out += Key;
-    Out += ' ';
-    Out += std::to_string(R.Prefiltered);
-    Out += ' ';
-    Out += std::to_string(R.PrefilterUnknown);
-    Out += ' ';
-    Out += std::to_string(R.Attempts);
-    Out += ' ';
-    Out += std::to_string(R.CtxReuses);
-    Out += ' ';
-    Out += std::to_string(R.RlimitBudget);
-    Out += '\n';
+    for (uint64_t V : {uint64_t{R.Prefiltered}, uint64_t{R.PrefilterUnknown},
+                       uint64_t{R.Attempts}, uint64_t{R.CtxReuses},
+                       R.RlimitBudget}) {
+      Out += ' ';
+      Out += std::to_string(V);
+    }
+    Out += !R.Cycle ? " n\n" : R.Witness ? " w\n" : " c\n";
+    if (R.Cycle && R.Witness)
+      appendWitness(Out, *R.Witness);
   }
   return Out;
 }
@@ -247,29 +375,33 @@ IncrementalSnapshot::deserialize(const std::string &B) {
     size_t Sp = L->find(' ');
     if (Sp == std::string::npos || Sp == 0)
       return std::nullopt;
-    std::string Key = L->substr(0, Sp);
-    unsigned long long V[5];
-    const char *P = L->c_str() + Sp;
-    for (int J = 0; J != 5; ++J) {
-      if (*P != ' ')
-        return std::nullopt;
-      char *End = nullptr;
-      errno = 0;
-      V[J] = std::strtoull(P + 1, &End, 10);
-      if (errno == ERANGE || !End || End == P + 1)
-        return std::nullopt;
-      P = End;
-    }
-    if (*P || V[0] > 1 || V[1] > 1 || V[2] > 0xFFFFFFFFull ||
-        V[3] > 0xFFFFFFFFull)
+    Fields F(L->c_str() + Sp);
+    auto Prefiltered = F.num(0, 1);
+    auto PrefilterUnknown = F.num(0, 1);
+    auto Attempts = F.num(0, MaxU32);
+    auto CtxReuses = F.num(0, MaxU32);
+    auto Budget = F.num(0, LLONG_MAX);
+    if (!Prefiltered || !PrefilterUnknown || !Attempts || !CtxReuses ||
+        !Budget)
       return std::nullopt;
     IncrRecord R;
-    R.Prefiltered = V[0] != 0;
-    R.PrefilterUnknown = V[1] != 0;
-    R.Attempts = static_cast<unsigned>(V[2]);
-    R.CtxReuses = static_cast<unsigned>(V[3]);
-    R.RlimitBudget = V[4];
-    S.Records.emplace(std::move(Key), R);
+    R.Prefiltered = *Prefiltered != 0;
+    R.PrefilterUnknown = *PrefilterUnknown != 0;
+    R.Attempts = static_cast<unsigned>(*Attempts);
+    R.CtxReuses = static_cast<unsigned>(*CtxReuses);
+    R.RlimitBudget = static_cast<uint64_t>(*Budget);
+    bool Witness = F.chr('w');
+    R.Cycle = Witness || F.chr('c');
+    if (!R.Cycle && !F.chr('n'))
+      return std::nullopt;
+    if (!F.atEnd())
+      return std::nullopt;
+    if (Witness) {
+      auto W = NextLine();
+      if (!W || !(R.Witness = parseWitness(*W)))
+        return std::nullopt;
+    }
+    S.Records.emplace(L->substr(0, Sp), std::move(R));
   }
   return S;
 }
@@ -287,9 +419,9 @@ const IncrRecord *IncrementalStore::lookup(const std::string &Key) {
   return Rec;
 }
 
-void IncrementalStore::record(const std::string &Key, const IncrRecord &Rec) {
+void IncrementalStore::record(const std::string &Key, IncrRecord Rec) {
   std::lock_guard<std::mutex> Lock(Mu);
-  Fresh.emplace(Key, Rec);
+  Fresh.emplace(Key, std::move(Rec));
 }
 
 void IncrementalStore::noteTxn(const std::string &Digest) {

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The incremental re-analysis layer: content-addressed reuse of
-/// per-unfolding NoCycle proofs across runs, keyed so that an edit to one
+/// per-unfolding solver outcomes across runs, keyed so that an edit to one
 /// transaction invalidates only the queries that touch it.
 ///
 /// Three digests cooperate:
@@ -29,24 +29,47 @@
 ///    (session tag and name-free content digest per instantiated
 ///    transaction, in instantiation order) + the exact candidate set +
 ///    the pipeline stage. Two unfoldings with this key produce the same
-///    solver query and the same prefilter behavior, so a NoCycle outcome
-///    recorded under it can be replayed, counters included.
+///    solver query and the same prefilter behavior, so an outcome recorded
+///    under it can be replayed, counters included.
 ///
-/// Only NoCycle outcomes are stored: a CycleFound verdict carries a
-/// counter-example whose text names the *current* program's transactions,
-/// so it is always re-solved (keeping warm-run output byte-identical to a
-/// cold run of the edited program), and unknown/cancelled outcomes are
-/// timing accidents that must not be frozen.
+/// Which outcomes are stored. Each ϕ_cyclic query is built from one
+/// unfolding alone (paper §7), so its answer is a function of the key:
 ///
-/// Determinism contract (same as the oracle snapshot and the constraint
-/// cache): lookups consult only the immutable base snapshot loaded at run
-/// start; fresh records are collected run-locally and merged after the
-/// run, so hit/miss counters are independent of thread count.
+///  * NoCycle, in both stages;
+///  * CycleFound in the bounded stage, with the minimal realized cycle
+///    index and a name-free witness model (per unfolding transaction:
+///    presence and position; per event: presence, position and value
+///    slots; per transaction pair: visibility). A replay rebuilds the
+///    counter-example from that model through `buildCounterExample`, the
+///    same function a fresh Z3 model goes through, with names taken from
+///    the current program, and re-runs witness validation on it;
+///  * CycleFound in the generalization stage, as the bare "blocked"
+///    status: that cycle is never reported, only its existence matters.
+///
+/// Unknown, error and cancelled outcomes are timing accidents and are never
+/// frozen, and neither is a bounded-stage witness whose cycle index is not
+/// canonical (an unknown cut its minimization short).
+///
+/// Why a replayed witness keeps the verdict contract: the committed cycle
+/// index is canonical (`minimizeRealizedCycle` pins it to the minimal
+/// satisfiable candidate, a pure function of the query), so violation sets,
+/// subsumption and every logical counter match a cold run. Only the
+/// witness constants are model-chosen, and every differential already
+/// treats the witness text (`v.ce`) as such. Validation re-checks the
+/// rebuilt witness end to end, so a `Validated` mark never rests on the
+/// record alone.
+///
+/// Determinism contract (same as the oracle snapshot): lookups consult
+/// only the immutable base snapshot loaded at run start; fresh records are
+/// collected run-locally and merged after the run, so hit/miss counters
+/// are independent of thread count.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef C4_ANALYSIS_INCREMENTAL_H
 #define C4_ANALYSIS_INCREMENTAL_H
+
+#include "smt/Encoding.h"
 
 #include <atomic>
 #include <cstdint>
@@ -61,12 +84,10 @@ namespace c4 {
 
 class AbstractHistory;
 struct AnalyzerOptions;
-struct CandidateCycle;
-struct Unfolding;
 
-/// One cached per-unfolding (or per-chunk) NoCycle outcome. Besides the
-/// verdict itself the record replays the counters the cold run produced,
-/// so a warm run's non-timing statistics match a cold run's.
+/// One cached per-unfolding (or per-chunk) outcome. Besides the verdict
+/// itself the record replays the counters the cold run produced, so a warm
+/// run's non-timing statistics match a cold run's.
 struct IncrRecord {
   bool Prefiltered = false;      ///< the domain prefilter killed every
                                  ///< candidate; no Z3 query was built
@@ -74,10 +95,14 @@ struct IncrRecord {
   unsigned Attempts = 0;         ///< solve attempts of the cold run
   unsigned CtxReuses = 0;        ///< solver-context reuses (retry re-checks)
   uint64_t RlimitBudget = 0;     ///< rlimit budget of the last attempt
+  bool Cycle = false;            ///< CycleFound (otherwise NoCycle)
+  /// Bounded-stage cycles: the canonical witness model to rebuild the
+  /// counter-example from.
+  std::optional<WitnessModel> Witness = std::nullopt;
 };
 
 /// A portable image of the incremental layer, the unit of cross-run
-/// persistence: the NoCycle records plus the set of transaction content
+/// persistence: the outcome records plus the set of transaction content
 /// digests seen (powering the txn_fingerprint_hits statistic). Keys are
 /// content digests, so entries survive transaction renames and are valid
 /// across programs. Kept sorted — serialize() is deterministic.
@@ -91,16 +116,17 @@ public:
     auto It = Records.find(Key);
     return It == Records.end() ? nullptr : &It->second;
   }
-  void addRecord(const std::string &Key, const IncrRecord &Rec) {
-    Records.emplace(Key, Rec);
+  void addRecord(const std::string &Key, IncrRecord Rec) {
+    Records.emplace(Key, std::move(Rec));
   }
   bool hasTxn(const std::string &Digest) const {
     return TxnDigests.count(Digest) != 0;
   }
   void addTxn(const std::string &Digest) { TxnDigests.insert(Digest); }
 
-  /// Union with \p O. On a key collision both sides hold the same record
-  /// (records are pure functions of the key); the existing one is kept.
+  /// Union with \p O. On a key collision both sides hold the same verdict
+  /// (a pure function of the key; only witness constants may differ); the
+  /// existing record is kept.
   void merge(const IncrementalSnapshot &O);
 
   /// Versioned text serialization (sorted, deterministic).
@@ -128,9 +154,9 @@ public:
   /// The base's record for \p Key, or null. Counts a hit or a miss.
   const IncrRecord *lookup(const std::string &Key);
 
-  /// Records a fresh NoCycle outcome into the run-local overlay (never
-  /// consulted by lookup — see the determinism contract).
-  void record(const std::string &Key, const IncrRecord &Rec);
+  /// Records a fresh outcome into the run-local overlay (never consulted
+  /// by lookup — see the determinism contract).
+  void record(const std::string &Key, IncrRecord Rec);
 
   bool baseHasTxn(const std::string &Digest) const {
     return Base && Base->hasTxn(Digest);

@@ -24,18 +24,14 @@
 ///    `fingerprintAnalysis`. A hit skips the back end entirely and
 ///    rehydrates the cold run's result, statistics included, byte for byte.
 ///
-/// In *incremental* mode (`--incremental-cache`) two more layers ride on
+/// In *incremental* mode (`--incremental-cache`) a third layer rides on
 /// the same directory, for the case where the verdict layer misses because
 /// the program was edited:
 ///
-///  * the *incremental layer* — per-unfolding NoCycle records keyed by
-///    transaction content digests (analysis/Incremental.h), replaying
-///    bounded-check and generalization queries whose transactions did not
-///    change;
-///
-///  * the *constraint layer* — a Green-style canonicalized constraint
-///    cache of unsat ϕ_cyclic slices (smt/ConstraintCache.h), valid across
-///    queries, runs and programs.
+///  * the *incremental layer* — per-unfolding outcome records (NoCycle, and
+///    cycles with their name-free witness models) keyed by transaction
+///    content digests (analysis/Incremental.h), replaying bounded-check and
+///    generalization queries whose transactions did not change.
 ///
 /// All layers are advisory: any miss, corruption or disabled directory
 /// falls back to the plain cold path with identical verdicts. Results whose
@@ -54,7 +50,6 @@
 
 #include "analysis/Incremental.h"
 #include "analysis/VerdictCache.h"
-#include "smt/ConstraintCache.h"
 #include "spec/CommutativityCache.h"
 #include "support/DiskCache.h"
 #include "support/SingleFlight.h"
@@ -67,14 +62,15 @@
 
 namespace c4 {
 
-/// The persistent cross-run cache: one disk directory, two layers.
+/// The persistent cross-run cache: one disk directory, two layers (three in
+/// incremental mode).
 class AnalysisCache {
 public:
   /// Opens (creating if needed) the cache rooted at \p Dir and loads the
   /// persisted oracle snapshot. A directory that cannot be created leaves
   /// the cache disabled (analyses still run, uncached). With \p Incremental
-  /// the per-unfolding record and constraint snapshots are loaded too and
-  /// cold runs consult/extend them (`--incremental-cache`).
+  /// the per-unfolding record snapshot is loaded too and cold runs
+  /// consult/extend it (`--incremental-cache`).
   explicit AnalysisCache(const std::string &Dir, bool Incremental = false);
 
   bool enabled() const { return Disk.enabled(); }
@@ -94,7 +90,6 @@ public:
   /// Incremental-layer sizes (0 when not in incremental mode).
   size_t incrRecords();
   size_t incrTxns();
-  size_t greenProofs();
 
   /// Persists any unwritten oracle snapshot growth. Writes are already
   /// eager on the cold path, so this is a cheap idempotent safety net the
@@ -129,9 +124,7 @@ private:
   OracleSnapshot ExportedBase;
   // Incremental-mode state, all guarded by SnapMu like the oracle snapshot.
   IncrementalSnapshot IncrSnap; ///< per-unfolding records + txn digests
-  ConstraintSnapshot GreenSnap; ///< canonical unsat constraint keys
   size_t PersistedIncrRecords = 0, PersistedIncrTxns = 0;
-  size_t PersistedGreenSize = 0;
   std::atomic<uint64_t> VerdictHits{0}, VerdictMisses{0};
   std::atomic<uint64_t> BackendRuns{0}, FlightWaits{0};
   SingleFlight Flights; ///< per-fingerprint stampede protection

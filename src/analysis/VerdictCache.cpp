@@ -130,7 +130,7 @@ std::string c4::fingerprintAnalysis(const AbstractHistory &A,
 
 namespace {
 
-constexpr const char *BlobHeader = "c4-verdict 3";
+constexpr const char *BlobHeader = "c4-verdict 4";
 
 /// Newlines and backslashes are the only characters the line-based format
 /// cannot carry verbatim.
@@ -287,10 +287,6 @@ std::string c4::serializeResult(const AnalysisResult &R) {
   addField(Out, "sat_assist_proven", std::to_string(R.SatAssistProven));
   addField(Out, "txn_fingerprint_hits", std::to_string(R.TxnFingerprintHits));
   addField(Out, "pair_verdicts_reused", std::to_string(R.PairVerdictsReused));
-  addField(Out, "constraint_cache_hits",
-           std::to_string(R.ConstraintCacheHits));
-  addField(Out, "constraint_cache_misses",
-           std::to_string(R.ConstraintCacheMisses));
   addField(Out, "solver_ctx_reuses", std::to_string(R.SolverCtxReuses));
   addField(Out, "backend_seconds", hexFloat(R.BackendSeconds));
   addField(Out, "ssg_seconds", hexFloat(R.SSGSeconds));
@@ -298,6 +294,7 @@ std::string c4::serializeResult(const AnalysisResult &R) {
   addField(Out, "smt_seconds", hexFloat(R.SmtSeconds));
   addField(Out, "prefilter_seconds", hexFloat(R.PrefilterSeconds));
   addField(Out, "incremental_seconds", hexFloat(R.IncrementalSeconds));
+  addField(Out, "validate_seconds", hexFloat(R.ValidateSeconds));
   addField(Out, "violations", std::to_string(R.Violations.size()));
   for (const Violation &V : R.Violations) {
     addField(Out, "v.flags", std::to_string(V.Inconclusive) + " " +
@@ -350,8 +347,6 @@ std::optional<AnalysisResult> c4::deserializeResult(const std::string &Blob) {
             Rd.u64("sat_assist_proven", R.SatAssistProven) &&
             Rd.u64("txn_fingerprint_hits", R.TxnFingerprintHits) &&
             Rd.u64("pair_verdicts_reused", R.PairVerdictsReused) &&
-            Rd.u64("constraint_cache_hits", R.ConstraintCacheHits) &&
-            Rd.u64("constraint_cache_misses", R.ConstraintCacheMisses) &&
             Rd.u64("solver_ctx_reuses", R.SolverCtxReuses) &&
             Rd.dbl("backend_seconds", R.BackendSeconds) &&
             Rd.dbl("ssg_seconds", R.SSGSeconds) &&
@@ -359,6 +354,7 @@ std::optional<AnalysisResult> c4::deserializeResult(const std::string &Blob) {
             Rd.dbl("smt_seconds", R.SmtSeconds) &&
             Rd.dbl("prefilter_seconds", R.PrefilterSeconds) &&
             Rd.dbl("incremental_seconds", R.IncrementalSeconds) &&
+            Rd.dbl("validate_seconds", R.ValidateSeconds) &&
             Rd.u32("violations", NumViolations) &&
             NumViolations <= 4096;
   if (!Ok)

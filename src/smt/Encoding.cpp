@@ -67,11 +67,13 @@ private:
   z3::expr edgeFormula(unsigned TS, unsigned TT, int Label) const;
   bool soBefore(unsigned TS, unsigned TT) const;
 
-  CounterExample extract(const z3::model &M) const;
+  /// Reads the name-free witness model out of a Z3 model.
+  WitnessModel readModel(const z3::model &M) const;
+  /// The result for a sat model: its witness and counter-example.
+  UnfoldingResult cycleFound(const z3::model &M, bool Canonical) const;
   unsigned realizedCycle(const z3::model &M) const;
-  z3::model minimizeRealizedCycle(z3::model M,
-                                  const z3::expr_vector &Assumptions,
-                                  SolveTelemetry *T);
+  bool minimizeRealizedCycle(z3::model &M, const z3::expr_vector &Assumptions,
+                             SolveTelemetry *T);
 
   const Unfolding &U;
   const AbstractHistory &A;
@@ -577,7 +579,151 @@ void UnfoldingEncoder::encode(
   encodeCycles(Candidates);
 }
 
-CounterExample UnfoldingEncoder::extract(const z3::model &M) const {
+WitnessModel UnfoldingEncoder::readModel(const z3::model &M) const {
+  WitnessModel W;
+  unsigned NT = A.numTxns(), NE = A.numEvents();
+  W.Cycle = realizedCycle(M);
+  W.TxnPresent.assign(NT, false);
+  W.TxnPos.assign(NT, 0);
+  W.Vis.assign(NT, std::vector<bool>(NT, false));
+  for (unsigned T = 0; T != NT; ++T)
+    if ((W.TxnPresent[T] = Z3Env::evalBool(M, TxnPresent[T])))
+      W.TxnPos[T] = Z3Env::evalInt(M, TxnPos[T]);
+  for (unsigned S = 0; S != NT; ++S)
+    for (unsigned T = 0; T != NT; ++T)
+      if (S != T && W.TxnPresent[S] && W.TxnPresent[T])
+        W.Vis[S][T] = Z3Env::evalBool(M, TVis[S][T]);
+  W.EvPresent.assign(NE, false);
+  W.EvPos.assign(NE, 0);
+  W.Vals.resize(NE);
+  for (unsigned E = 0; E != NE; ++E) {
+    W.Vals[E].assign(Args[E].size(), 0);
+    if (!W.TxnPresent[A.event(E).Txn] || A.event(E).isMarker() ||
+        !(W.EvPresent[E] = Z3Env::evalBool(M, EvPresent[E])))
+      continue;
+    W.EvPos[E] = Z3Env::evalInt(M, EvPos[E]);
+    for (unsigned I = 0; I != Args[E].size(); ++I)
+      W.Vals[E][I] = Z3Env::evalInt(M, Args[E][I]);
+  }
+  return W;
+}
+
+UnfoldingResult UnfoldingEncoder::cycleFound(const z3::model &M,
+                                             bool Canonical) const {
+  UnfoldingResult R;
+  R.Status = UnfoldingResult::CycleFound;
+  WitnessModel W = readModel(M);
+  R.CE = buildCounterExample(U, *Cands, W);
+  if (Canonical)
+    R.Witness = std::move(W);
+  return R;
+}
+
+/// The lowest-index candidate selector the model sets — the cycle
+/// buildCounterExample() reports as the violation.
+unsigned UnfoldingEncoder::realizedCycle(const z3::model &M) const {
+  for (unsigned CI = 0; CI != CycleSel.size(); ++CI)
+    if (Z3Env::evalBool(M, CycleSel[CI]))
+      return CI;
+  return 0; // unreachable: encodeCycles asserts at least one selector
+}
+
+/// Deterministic violation representative. Z3's model choice over the
+/// candidate-cycle disjunction legally depends on the context's history
+/// (AST numbering from earlier queries in a reused context steers
+/// heuristic tie-breaks), so two runs that built different prior queries
+/// can realize different cycles for the identical formula — and the
+/// committed violation's transaction set drives subsumption, so every
+/// downstream counter shifts with it. Re-checking restricted to strictly
+/// earlier candidates until no earlier one is satisfiable pins the
+/// reported cycle to the minimal satisfiable index: a pure function of
+/// the query, stable across context histories (in particular across an
+/// incremental warm run, which replays most queries and re-solves only
+/// these). An unknown during minimization keeps the model already in
+/// hand — the witness is still genuine, only canonicality degrades, and
+/// the function returns false.
+bool UnfoldingEncoder::minimizeRealizedCycle(
+    z3::model &M, const z3::expr_vector &Assumptions, SolveTelemetry *T) {
+  unsigned CI = realizedCycle(M);
+  z3::solver &S = Z.solver();
+  while (CI != 0) {
+    S.push();
+    for (unsigned J = CI; J != CycleSel.size(); ++J)
+      S.add(!CycleSel[J]);
+    z3::check_result CR =
+        Assumptions.empty() ? S.check() : S.check(Assumptions);
+    if (T)
+      ++T->CtxReuses; // the re-check rode the existing encoding
+    if (CR != z3::sat) {
+      S.pop();
+      // unsat: no earlier candidate admits a cycle, CI is minimal.
+      return CR == z3::unsat;
+    }
+    M = S.get_model();
+    S.pop();
+    CI = realizedCycle(M); // selectors >= old CI were forced off
+  }
+  return true;
+}
+
+UnfoldingResult UnfoldingEncoder::solve(bool CanonicalWitness,
+                                        SolveTelemetry *T) {
+  UnfoldingResult R;
+  // First try under the assumption that updates write non-initial values:
+  // counter-examples then exhibit genuinely observable anomalies instead of
+  // coincidental writes of the initial value 0. Fall back to an
+  // unconstrained check when the assumptions conflict with the program.
+  z3::expr_vector Assumptions(Z.ctx());
+  for (unsigned E : UpdateEvents) {
+    const AbstractEvent &AE = A.event(E);
+    for (unsigned I = 0, N = A.op(E).numVals(); I != N; ++I) {
+      if (I < AE.Facts.size() && AE.Facts[I].Kind == AbsFact::Const)
+        continue;
+      Assumptions.push_back(argExpr(E, I) != Z.intVal(0));
+    }
+  }
+  if (Z.solver().check(Assumptions) == z3::sat) {
+    z3::model M = Z.solver().get_model();
+    return cycleFound(M, CanonicalWitness &&
+                             minimizeRealizedCycle(M, Assumptions, T));
+  }
+  switch (Z.solver().check()) {
+  case z3::unsat:
+    R.Status = UnfoldingResult::NoCycle;
+    return R;
+  case z3::unknown:
+    R.Status = UnfoldingResult::Unknown;
+    return R;
+  case z3::sat:
+    break;
+  }
+  z3::model M = Z.solver().get_model();
+  z3::expr_vector None(Z.ctx());
+  return cycleFound(M, CanonicalWitness && minimizeRealizedCycle(M, None, T));
+}
+
+} // namespace
+
+bool WitnessModel::fits(const Unfolding &U, size_t NumCands) const {
+  const AbstractHistory &A = U.H;
+  unsigned NT = A.numTxns(), NE = A.numEvents();
+  if (Cycle >= NumCands || TxnPresent.size() != NT || TxnPos.size() != NT ||
+      Vis.size() != NT || EvPresent.size() != NE || EvPos.size() != NE ||
+      Vals.size() != NE)
+    return false;
+  for (const std::vector<bool> &Row : Vis)
+    if (Row.size() != NT)
+      return false;
+  for (unsigned E = 0; E != NE; ++E)
+    if (Vals[E].size() != (A.event(E).isMarker() ? 0 : A.op(E).numVals()))
+      return false;
+  return true;
+}
+
+CounterExample c4::buildCounterExample(const Unfolding &U,
+                                       const std::vector<CandidateCycle> &Cands,
+                                       const WitnessModel &M) {
+  const AbstractHistory &A = U.H;
   CounterExample CE{History(A.schema()), Schedule(0), {}, {}, {}};
   // Collect present transactions and their positions.
   struct TxnInst {
@@ -586,20 +732,15 @@ CounterExample UnfoldingEncoder::extract(const z3::model &M) const {
   };
   std::vector<TxnInst> Present;
   for (unsigned T = 0; T != A.numTxns(); ++T)
-    if (Z3Env::evalBool(M, TxnPresent[T]))
-      Present.push_back({T, Z3Env::evalInt(M, TxnPos[T])});
+    if (M.TxnPresent[T])
+      Present.push_back({T, M.TxnPos[T]});
 
   // Concrete sessions per abstract session tag, transactions in chain
-  // order (ids grow along the chain).
+  // order (ids grow along the chain, and Present is in id order).
   History &H = CE.H;
   std::map<unsigned, unsigned> SessionOf; // tag -> concrete session
   std::vector<int> ConcreteTxn(A.numTxns(), -1);
-  std::vector<TxnInst> BySession = Present;
-  std::sort(BySession.begin(), BySession.end(),
-            [](const TxnInst &X, const TxnInst &Y) {
-              return X.UTxn < Y.UTxn;
-            });
-  for (const TxnInst &TI : BySession) {
+  for (const TxnInst &TI : Present) {
     unsigned Tag = U.SessionTags[TI.UTxn];
     auto It = SessionOf.find(Tag);
     if (It == SessionOf.end())
@@ -612,25 +753,20 @@ CounterExample UnfoldingEncoder::extract(const z3::model &M) const {
       int64_t Pos;
     };
     std::vector<EvInst> Evs;
-    for (unsigned E : A.txn(TI.UTxn).Events) {
-      if (A.event(E).isMarker())
-        continue;
-      if (!Z3Env::evalBool(M, EvPresent[E]))
-        continue;
-      Evs.push_back({E, Z3Env::evalInt(M, EvPos[E])});
-    }
+    for (unsigned E : A.txn(TI.UTxn).Events)
+      if (!A.event(E).isMarker() && M.EvPresent[E])
+        Evs.push_back({E, M.EvPos[E]});
     std::sort(Evs.begin(), Evs.end(), [](const EvInst &X, const EvInst &Y) {
       return X.Pos < Y.Pos;
     });
     for (const EvInst &EI : Evs) {
       const AbstractEvent &AE = A.event(EI.Ev);
       const OpSig &Op = A.op(EI.Ev);
-      std::vector<int64_t> ArgVals;
-      for (unsigned I = 0; I != Op.NumArgs; ++I)
-        ArgVals.push_back(Z3Env::evalInt(M, Args[EI.Ev][I]));
+      const std::vector<int64_t> &Vals = M.Vals[EI.Ev];
+      std::vector<int64_t> ArgVals(Vals.begin(), Vals.begin() + Op.NumArgs);
       std::optional<int64_t> Ret;
       if (Op.HasRet)
-        Ret = Z3Env::evalInt(M, Args[EI.Ev][Op.NumArgs]);
+        Ret = Vals[Op.NumArgs];
       H.append(CT, AE.Container, AE.Op, std::move(ArgVals), Ret);
     }
   }
@@ -651,9 +787,7 @@ CounterExample UnfoldingEncoder::extract(const z3::model &M) const {
   // session order.
   for (const TxnInst &TA : Present)
     for (const TxnInst &TB : Present) {
-      if (TA.UTxn == TB.UTxn)
-        continue;
-      if (!Z3Env::evalBool(M, TVis[TA.UTxn][TB.UTxn]))
+      if (TA.UTxn == TB.UTxn || !M.Vis[TA.UTxn][TB.UTxn])
         continue;
       for (unsigned EA :
            H.txn(static_cast<unsigned>(ConcreteTxn[TA.UTxn])).Events)
@@ -678,14 +812,9 @@ CounterExample UnfoldingEncoder::extract(const z3::model &M) const {
       H.setReturn(E, evalQueryUnder(H, CE.S, E));
 
   // The selected cycle.
-  for (unsigned CI = 0; CI != CycleSel.size(); ++CI) {
-    if (!Z3Env::evalBool(M, CycleSel[CI]))
-      continue;
-    for (unsigned T : (*Cands)[CI].Txns) {
-      CE.CycleTxns.push_back(static_cast<unsigned>(ConcreteTxn[T]));
-      CE.OrigTxns.push_back(U.OrigTxn[T]);
-    }
-    break;
+  for (unsigned T : Cands[M.Cycle].Txns) {
+    CE.CycleTxns.push_back(static_cast<unsigned>(ConcreteTxn[T]));
+    CE.OrigTxns.push_back(U.OrigTxn[T]);
   }
 
   // Render.
@@ -709,120 +838,7 @@ CounterExample UnfoldingEncoder::extract(const z3::model &M) const {
   return CE;
 }
 
-/// The lowest-index candidate selector the model sets — the cycle
-/// extract() reports as the violation.
-unsigned UnfoldingEncoder::realizedCycle(const z3::model &M) const {
-  for (unsigned CI = 0; CI != CycleSel.size(); ++CI)
-    if (Z3Env::evalBool(M, CycleSel[CI]))
-      return CI;
-  return 0; // unreachable: encodeCycles asserts at least one selector
-}
-
-/// Deterministic violation representative. Z3's model choice over the
-/// candidate-cycle disjunction legally depends on the context's history
-/// (AST numbering from earlier queries in a reused context steers
-/// heuristic tie-breaks), so two runs that built different prior queries
-/// can realize different cycles for the identical formula — and the
-/// committed violation's transaction set drives subsumption, so every
-/// downstream counter shifts with it. Re-checking restricted to strictly
-/// earlier candidates until no earlier one is satisfiable pins the
-/// reported cycle to the minimal satisfiable index: a pure function of
-/// the query, stable across context histories (in particular across an
-/// incremental warm run, which replays most queries and re-solves only
-/// these). An unknown during minimization keeps the model already in
-/// hand — the witness is still genuine, only canonicality degrades.
-z3::model UnfoldingEncoder::minimizeRealizedCycle(
-    z3::model M, const z3::expr_vector &Assumptions, SolveTelemetry *T) {
-  unsigned CI = realizedCycle(M);
-  z3::solver &S = Z.solver();
-  while (CI != 0) {
-    S.push();
-    for (unsigned J = CI; J != CycleSel.size(); ++J)
-      S.add(!CycleSel[J]);
-    z3::check_result CR =
-        Assumptions.empty() ? S.check() : S.check(Assumptions);
-    if (T)
-      ++T->CtxReuses; // the re-check rode the existing encoding
-    if (CR != z3::sat) {
-      S.pop();
-      break; // no earlier candidate admits a cycle: CI is minimal
-    }
-    M = S.get_model();
-    S.pop();
-    CI = realizedCycle(M); // selectors >= old CI were forced off
-  }
-  return M;
-}
-
-UnfoldingResult UnfoldingEncoder::solve(bool CanonicalWitness,
-                                        SolveTelemetry *T) {
-  UnfoldingResult R;
-  // First try under the assumption that updates write non-initial values:
-  // counter-examples then exhibit genuinely observable anomalies instead of
-  // coincidental writes of the initial value 0. Fall back to an
-  // unconstrained check when the assumptions conflict with the program.
-  z3::expr_vector Assumptions(Z.ctx());
-  for (unsigned E : UpdateEvents) {
-    const AbstractEvent &AE = A.event(E);
-    for (unsigned I = 0, N = A.op(E).numVals(); I != N; ++I) {
-      if (I < AE.Facts.size() && AE.Facts[I].Kind == AbsFact::Const)
-        continue;
-      Assumptions.push_back(argExpr(E, I) != Z.intVal(0));
-    }
-  }
-  if (Z.solver().check(Assumptions) == z3::sat) {
-    R.Status = UnfoldingResult::CycleFound;
-    z3::model M = Z.solver().get_model();
-    if (CanonicalWitness)
-      M = minimizeRealizedCycle(std::move(M), Assumptions, T);
-    R.CE = extract(M);
-    return R;
-  }
-  switch (Z.solver().check()) {
-  case z3::unsat:
-    R.Status = UnfoldingResult::NoCycle;
-    return R;
-  case z3::unknown:
-    R.Status = UnfoldingResult::Unknown;
-    return R;
-  case z3::sat:
-    break;
-  }
-  R.Status = UnfoldingResult::CycleFound;
-  z3::model M = Z.solver().get_model();
-  if (CanonicalWitness) {
-    z3::expr_vector None(Z.ctx());
-    M = minimizeRealizedCycle(std::move(M), None, T);
-  }
-  R.CE = extract(M);
-  return R;
-}
-
-} // namespace
-
-
 namespace {
-
-/// The constraint-cache context tag: green unsat proofs are only valid
-/// for runs whose deterministic solver budget would reprove them, so the
-/// budget (minus the wall backstop, which by design never decides first)
-/// is part of every key.
-std::string budgetTag(const SolverBudget &B) {
-  return "rl" + std::to_string(B.Rlimit) + ".e" +
-         std::to_string(B.Escalation) + ".r" + std::to_string(B.MaxRetries) +
-         ".c" + std::to_string(B.RlimitCap);
-}
-
-/// Renders every assertion of the current solver as SMT-LIB text, the
-/// input to canonicalQueryKey().
-std::vector<std::string> assertionTexts(Z3Env &Env) {
-  std::vector<std::string> Out;
-  z3::expr_vector As = Env.solver().assertions();
-  Out.reserve(As.size());
-  for (unsigned I = 0; I != As.size(); ++I)
-    Out.push_back(As[static_cast<int>(I)].to_string());
-  return Out;
-}
 
 /// The escalating-rlimit retry loop against an *already encoded* solver:
 /// an unknown re-arms the same solver with a geometrically larger rlimit
@@ -871,8 +887,7 @@ UnfoldingResult c4::solveUnfolding(const Unfolding &U, const SSG &G,
                                    const AnalysisFeatures &F,
                                    const SolverPolicy &P,
                                    CommutativityOracle *Oracle, Z3Env *Reuse,
-                                   SolveTelemetry *Telemetry,
-                                   ConstraintCache *Green) {
+                                   SolveTelemetry *Telemetry) {
   SolveTelemetry Local;
   SolveTelemetry &T = Telemetry ? *Telemetry : Local;
   T = SolveTelemetry();
@@ -891,23 +906,10 @@ UnfoldingResult c4::solveUnfolding(const Unfolding &U, const SSG &G,
     }
     UnfoldingEncoder Enc(U, G, F, *Env, Oracle);
     Enc.encode(Cands);
-    std::string Key;
-    if (Green) {
-      Key = canonicalQueryKey(assertionTexts(*Env), budgetTag(P.Budget));
-      if (Green->knownUnsat(Key)) {
-        T.GreenHit = true;
-        UnfoldingResult R;
-        R.Status = UnfoldingResult::NoCycle;
-        return R;
-      }
-    }
     // Canonicalize the witness: the bounded stage commits the realized
     // cycle as a violation, so it must not depend on the reused
     // context's query history (see minimizeRealizedCycle).
-    UnfoldingResult R = runAttempts(Enc, *Env, P, T, /*CanonicalWitness=*/true);
-    if (Green && R.Status == UnfoldingResult::NoCycle)
-      Green->recordUnsat(Key);
-    return R;
+    return runAttempts(Enc, *Env, P, T, /*CanonicalWitness=*/true);
   } catch (const z3::exception &) {
     // Confine Z3 exceptions: treat failures as inconclusive.
     T.Error = true;
@@ -919,7 +921,6 @@ UnfoldingResult c4::solveUnfolding(const Unfolding &U, const SSG &G,
 
 struct LayoutSolver::Impl {
   SolverPolicy P;
-  ConstraintCache *Green = nullptr;
   std::optional<Z3Env> Own;
   Z3Env *Env = nullptr;
   std::optional<UnfoldingEncoder> Enc;
@@ -930,11 +931,9 @@ struct LayoutSolver::Impl {
 
 LayoutSolver::LayoutSolver(const Unfolding &U, const SSG &G,
                            const AnalysisFeatures &F, const SolverPolicy &P,
-                           CommutativityOracle *Oracle, Z3Env *Reuse,
-                           ConstraintCache *Green)
+                           CommutativityOracle *Oracle, Z3Env *Reuse)
     : I(std::make_unique<Impl>()) {
   I->P = P;
-  I->Green = Green;
   try {
     if (Reuse) {
       Reuse->reset(P.Budget.rlimitForAttempt(0), P.Budget.WallMs);
@@ -974,24 +973,11 @@ UnfoldingResult LayoutSolver::solve(const std::vector<CandidateCycle> &Cands,
     I->Enc->encodeCycles(Cands);
     if (++I->Chunks > 1)
       ++T.CtxReuses; // the chunk rode an existing base encoding
-    std::string Key;
-    if (I->Green) {
-      Key = canonicalQueryKey(assertionTexts(*I->Env), budgetTag(I->P.Budget));
-      if (I->Green->knownUnsat(Key)) {
-        T.GreenHit = true;
-        S.pop();
-        UnfoldingResult R;
-        R.Status = UnfoldingResult::NoCycle;
-        return R;
-      }
-    }
     // No witness canonicalization here: a generalize-stage cycle only
     // blocks the generalization (sat/unsat is already deterministic);
     // its realized cycle is never committed as a violation.
     UnfoldingResult R = runAttempts(*I->Enc, *I->Env, I->P, T,
                                     /*CanonicalWitness=*/false);
-    if (I->Green && R.Status == UnfoldingResult::NoCycle)
-      I->Green->recordUnsat(Key);
     S.pop();
     return R;
   } catch (const z3::exception &) {

@@ -34,12 +34,12 @@
 
 #include "abstract/Features.h"
 #include "history/Schedule.h"
-#include "smt/ConstraintCache.h"
 #include "smt/Z3Env.h"
 #include "ssg/SSG.h"
 #include "support/Deadline.h"
 #include "unfold/Unfolder.h"
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,10 +60,39 @@ struct CounterExample {
   std::string Text;
 };
 
+/// A name-free image of a ϕ_cyclic model: everything a counter-example is
+/// built from, indexed by the unfolding's transaction and event ids.
+/// Entries of absent transactions and events are zero.
+struct WitnessModel {
+  unsigned Cycle = 0; ///< the realized candidate (lowest set selector)
+  std::vector<bool> TxnPresent;
+  std::vector<int64_t> TxnPos;
+  std::vector<std::vector<bool>> Vis; ///< [s][t] transaction visibility
+  std::vector<bool> EvPresent;
+  std::vector<int64_t> EvPos;
+  std::vector<std::vector<int64_t>> Vals; ///< [event][value slot]
+
+  /// True when the model has the shape of a model of unfolding \p U
+  /// against \p NumCands candidates.
+  bool fits(const Unfolding &U, size_t NumCands) const;
+  bool operator==(const WitnessModel &) const = default;
+};
+
+/// Builds the counter-example \p M describes on unfolding \p U against
+/// \p Cands, the one path for a model just read from Z3 and for one
+/// loaded from an incremental record. Names come from \p U. Requires
+/// `M.fits(U, Cands.size())`.
+CounterExample buildCounterExample(const Unfolding &U,
+                                   const std::vector<CandidateCycle> &Cands,
+                                   const WitnessModel &M);
+
 /// Result of solving one unfolding.
 struct UnfoldingResult {
   enum StatusKind { NoCycle, CycleFound, Unknown } Status = NoCycle;
   std::optional<CounterExample> CE;
+  /// The model CE was built from, set only when its cycle index is
+  /// canonical (see minimizeRealizedCycle): only then may it be replayed.
+  std::optional<WitnessModel> Witness;
 };
 
 /// Resource-governance policy for the precise stage: the per-query budget
@@ -92,9 +121,6 @@ struct SolveTelemetry {
   /// plus, through \ref LayoutSolver, additional cycle chunks solved
   /// against a shared base encoding.
   unsigned CtxReuses = 0;
-  /// The query was answered NoCycle by the canonicalized constraint cache
-  /// without any Z3 check (Attempts stays 0).
-  bool GreenHit = false;
 };
 
 /// Builds and solves ϕ_cyclic for \p U. \p Candidates are the SC1-feasible
@@ -111,18 +137,16 @@ struct SolveTelemetry {
 /// (`Z3Env::rearm`) and re-checking — the re-encode per attempt is gone,
 /// and each such re-check counts into `SolveTelemetry::CtxReuses`. An env
 /// must not be shared between threads; each worker keeps its own.
-/// \p Green, when given, is consulted after encoding: a canonical-form
-/// hit proves NoCycle without any Z3 check, and a fresh unsat proof is
-/// recorded back. \p Telemetry, when given, receives the attempt/spend
-/// accounting.
+/// \p Telemetry, when given, receives the attempt/spend accounting. A
+/// CycleFound result carries its canonical witness model (see
+/// UnfoldingResult::Witness).
 UnfoldingResult solveUnfolding(const Unfolding &U, const SSG &G,
                                const std::vector<CandidateCycle> &Candidates,
                                const AnalysisFeatures &F,
                                const SolverPolicy &P = {},
                                CommutativityOracle *Oracle = nullptr,
                                Z3Env *Reuse = nullptr,
-                               SolveTelemetry *Telemetry = nullptr,
-                               ConstraintCache *Green = nullptr);
+                               SolveTelemetry *Telemetry = nullptr);
 
 /// A shared solver context for the many cycle/segment chunks of one
 /// session layout (the §7.2 generalization loop solves the same unfolding
@@ -139,7 +163,7 @@ public:
   /// private env is created. All referees must outlive the solver.
   LayoutSolver(const Unfolding &U, const SSG &G, const AnalysisFeatures &F,
                const SolverPolicy &P, CommutativityOracle *Oracle = nullptr,
-               Z3Env *Reuse = nullptr, ConstraintCache *Green = nullptr);
+               Z3Env *Reuse = nullptr);
   ~LayoutSolver();
   LayoutSolver(const LayoutSolver &) = delete;
   LayoutSolver &operator=(const LayoutSolver &) = delete;

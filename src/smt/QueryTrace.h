@@ -47,9 +47,9 @@ struct QueryRecord {
   /// The verdict came from the domain prefilter; no Z3 query was built
   /// (Attempts is 0 for such records).
   bool Prefiltered = false;
-  /// The verdict was reused from the incremental layers — a persisted
-  /// NoCycle record or a constraint-cache (green) hit — without reaching
-  /// Z3 (Attempts is 0 for such records).
+  /// The outcome was replayed from a persisted incremental record without
+  /// reaching Z3. Attempts replays the recording run's count; WallMs is
+  /// the record lookup time.
   bool Reused = false;
   /// Wall time across all attempts, milliseconds.
   double WallMs = 0;

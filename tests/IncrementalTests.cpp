@@ -7,20 +7,25 @@
 /// \file
 /// Tests for the incremental re-analysis layer: per-transaction content
 /// digests (editing or adding one transaction never perturbs another's
-/// digest; renames don't change any), the Green-style canonical constraint
-/// key (naming, query-generation and conjunct-interleaving invariance;
-/// content and context sensitivity), snapshot serialization round-trips,
-/// and the end-to-end differential contract — a warm re-analysis of an
-/// edited program through a populated incremental cache must match a plain
-/// cold run of the edited program on every verdict field and logical
-/// counter, with `--no-incremental` as the A/B escape hatch.
+/// digest; renames don't change any), snapshot serialization round-trips
+/// (cycle records with their witness models included), and the end-to-end
+/// differential contract — a warm re-analysis of an edited program through
+/// a populated incremental cache must match a plain cold run of the edited
+/// program on every verdict field and logical counter, replaying every
+/// outcome the edit did not touch (cycles included) without reaching Z3,
+/// with `--no-incremental` as the A/B escape hatch. Also the stage-time
+/// ledger around the layer: replay lookups are charged to
+/// `incremental_seconds` on parallel runs too, and no stage is counted
+/// twice.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "abstract/Concretize.h"
 #include "analysis/Incremental.h"
 #include "analysis/Pipeline.h"
 #include "frontend/Frontend.h"
-#include "smt/ConstraintCache.h"
+#include "history/DSG.h"
+#include "history/Relations.h"
 
 #include "gtest/gtest.h"
 
@@ -158,55 +163,6 @@ TEST(TxnDigest, ContextDigestTracksOptionsNotIterationCaps) {
 }
 
 //===----------------------------------------------------------------------===//
-// Canonical constraint keys (the Green cache)
-//===----------------------------------------------------------------------===//
-
-TEST(CanonicalKey, RenamingAndGenerationInvariance) {
-  // Same structure, different query generation and different constant
-  // names: one canonical key.
-  std::vector<std::string> A = {"(assert (> q1.ev0.pos q1.ev1.pos))",
-                                "(assert (= q1.txn0.present true))"};
-  std::vector<std::string> B = {"(assert (> q7.alpha q7.beta))",
-                                "(assert (= q7.gamma true))"};
-  EXPECT_EQ(canonicalQueryKey(A), canonicalQueryKey(B));
-}
-
-TEST(CanonicalKey, IndependentConjunctInterleavingInvariance) {
-  // {a,b} and {c} share no symbols — the slicer must make the key
-  // independent of how the encoder interleaved the two groups.
-  std::vector<std::string> AB_C = {"(assert (> q1.a q1.b))",
-                                   "(assert (= q1.c 0))"};
-  std::vector<std::string> C_AB = {"(assert (= q1.c 0))",
-                                   "(assert (> q1.a q1.b))"};
-  EXPECT_EQ(canonicalQueryKey(AB_C), canonicalQueryKey(C_AB));
-}
-
-TEST(CanonicalKey, ContentAndContextSensitivity) {
-  std::vector<std::string> A = {"(assert (> q1.a q1.b))"};
-  std::vector<std::string> B = {"(assert (>= q1.a q1.b))"};
-  EXPECT_NE(canonicalQueryKey(A), canonicalQueryKey(B));
-  // An unsat proof under one solver budget must not answer a query
-  // running under another: the context tag splits the key space.
-  EXPECT_NE(canonicalQueryKey(A, "rlimit=1000"),
-            canonicalQueryKey(A, "rlimit=2000"));
-  EXPECT_EQ(canonicalQueryKey(A, "rlimit=1000"),
-            canonicalQueryKey(A, "rlimit=1000"));
-}
-
-TEST(CanonicalKey, SharedSymbolsKeepConjunctsInOneGroup) {
-  // a-b and b-c are linked through b: a *consistent* whole-group renaming
-  // is fine, but collapsing the link must change the key.
-  std::vector<std::string> Linked = {"(assert (> q1.a q1.b))",
-                                     "(assert (> q1.b q1.c))"};
-  std::vector<std::string> Renamed = {"(assert (> q2.x q2.y))",
-                                      "(assert (> q2.y q2.z))"};
-  std::vector<std::string> Split = {"(assert (> q1.a q1.b))",
-                                    "(assert (> q1.d q1.c))"};
-  EXPECT_EQ(canonicalQueryKey(Linked), canonicalQueryKey(Renamed));
-  EXPECT_NE(canonicalQueryKey(Linked), canonicalQueryKey(Split));
-}
-
-//===----------------------------------------------------------------------===//
 // Snapshot round-trips
 //===----------------------------------------------------------------------===//
 
@@ -214,8 +170,11 @@ TEST(Snapshots, IncrementalRoundTrip) {
   IncrementalSnapshot S;
   // Keys are fingerprint digests — space-free by construction, which the
   // line format relies on.
-  S.addRecord("key-1", {true, false, 0, 0, 0});
-  S.addRecord("key-2", {false, true, 3, 2, 500000});
+  S.addRecord("key-1", {.Prefiltered = true});
+  S.addRecord("key-2", {.PrefilterUnknown = true,
+                        .Attempts = 3,
+                        .CtxReuses = 2,
+                        .RlimitBudget = 500000});
   S.addTxn("digest-a");
   S.addTxn("digest-b");
   std::string Blob = S.serialize();
@@ -233,6 +192,7 @@ TEST(Snapshots, IncrementalRoundTrip) {
   EXPECT_EQ(R->Attempts, 3u);
   EXPECT_EQ(R->CtxReuses, 2u);
   EXPECT_EQ(R->RlimitBudget, 500000u);
+  EXPECT_FALSE(R->Cycle);
   EXPECT_EQ(Back->record("absent"), nullptr);
 
   EXPECT_FALSE(IncrementalSnapshot::deserialize("").has_value());
@@ -242,30 +202,78 @@ TEST(Snapshots, IncrementalRoundTrip) {
           .has_value());
 }
 
-TEST(Snapshots, ConstraintRoundTrip) {
-  ConstraintSnapshot S;
-  S.insert("fp-1");
-  S.insert("fp-2");
+/// A small witness model: two present transactions of three, the second
+/// seeing the first, with negative and 64-bit values.
+WitnessModel sampleWitness() {
+  WitnessModel W;
+  W.Cycle = 2;
+  W.TxnPresent = {true, false, true};
+  W.TxnPos = {4, 0, -1};
+  W.Vis = {{false, false, false}, {false, false, false}, {true, false, false}};
+  W.EvPresent = {true, false, true, true};
+  W.EvPos = {0, 0, 1, 0};
+  W.Vals = {{7, -3}, {0}, {}, {int64_t{1} << 40}};
+  return W;
+}
+
+TEST(Snapshots, CycleRecordWithWitnessRoundTrip) {
+  IncrementalSnapshot S;
+  S.addRecord("bounded-cycle", {.PrefilterUnknown = true,
+                                .Attempts = 1,
+                                .CtxReuses = 3,
+                                .RlimitBudget = 9000,
+                                .Cycle = true,
+                                .Witness = sampleWitness()});
+  S.addRecord("generalize-cycle", {.Attempts = 1, .Cycle = true});
+  S.addRecord("no-cycle", {.Attempts = 1});
   std::string Blob = S.serialize();
-  auto Back = ConstraintSnapshot::deserialize(Blob);
+  auto Back = IncrementalSnapshot::deserialize(Blob);
   ASSERT_TRUE(Back.has_value());
   EXPECT_EQ(Back->serialize(), Blob);
-  EXPECT_TRUE(Back->contains("fp-1"));
-  EXPECT_FALSE(Back->contains("fp-3"));
-  EXPECT_FALSE(ConstraintSnapshot::deserialize("").has_value());
-  EXPECT_FALSE(ConstraintSnapshot::deserialize("c4-green-snapshot 99\n0\n")
+  const IncrRecord *R = Back->record("bounded-cycle");
+  ASSERT_NE(R, nullptr);
+  EXPECT_TRUE(R->Cycle);
+  EXPECT_TRUE(R->PrefilterUnknown);
+  EXPECT_EQ(R->CtxReuses, 3u);
+  ASSERT_TRUE(R->Witness.has_value());
+  EXPECT_EQ(*R->Witness, sampleWitness());
+  R = Back->record("generalize-cycle");
+  ASSERT_NE(R, nullptr);
+  EXPECT_TRUE(R->Cycle);
+  EXPECT_FALSE(R->Witness.has_value());
+  R = Back->record("no-cycle");
+  ASSERT_NE(R, nullptr);
+  EXPECT_FALSE(R->Cycle);
+
+  // Version skew: a v1 blob reads as no snapshot (an empty cache).
+  std::string V1 = Blob;
+  V1.replace(0, V1.find('\n'), "c4-incr-snapshot 1");
+  EXPECT_FALSE(IncrementalSnapshot::deserialize(V1).has_value());
+
+  // A truncated witness line, a missing one and trailing junk all fail.
+  size_t W = Blob.find("\nw ");
+  ASSERT_NE(W, std::string::npos);
+  size_t WEnd = Blob.find('\n', W + 1);
+  std::string Line = Blob.substr(W + 1, WEnd - W - 1);
+  auto WithLine = [&](const std::string &L) {
+    return Blob.substr(0, W + 1) + L + Blob.substr(WEnd);
+  };
+  std::string Truncated = Line.substr(0, Line.rfind(' '));
+  EXPECT_TRUE(IncrementalSnapshot::deserialize(WithLine(Line)).has_value());
+  EXPECT_FALSE(
+      IncrementalSnapshot::deserialize(WithLine(Truncated)).has_value());
+  EXPECT_FALSE(IncrementalSnapshot::deserialize(WithLine(Line + " 5"))
                    .has_value());
   EXPECT_FALSE(
-      ConstraintSnapshot::deserialize("c4-green-snapshot 1\n2\nfp-1\n")
-          .has_value());
+      IncrementalSnapshot::deserialize(Blob.substr(0, W + 1)).has_value());
 }
 
 TEST(Snapshots, StoreConsultsOnlyTheBase) {
   IncrementalSnapshot Base;
-  Base.addRecord("in-base", {false, false, 1, 0, 42});
+  Base.addRecord("in-base", {.Attempts = 1, .RlimitBudget = 42});
   IncrementalStore Store(&Base);
   EXPECT_NE(Store.lookup("in-base"), nullptr);
-  Store.record("fresh", {false, false, 2, 1, 43});
+  Store.record("fresh", {.Attempts = 2, .CtxReuses = 1, .RlimitBudget = 43});
   // Determinism contract: the fresh overlay is invisible to lookups.
   EXPECT_EQ(Store.lookup("fresh"), nullptr);
   EXPECT_EQ(Store.hits(), 1u);
@@ -290,13 +298,13 @@ std::string stripVolatile(const std::string &Blob) {
       "backend_seconds",     "ssg_seconds",
       "enum_seconds",        "smt_seconds",
       "prefilter_seconds",   "incremental_seconds",
-      "rlimit_spent",        "smt_retries",
-      "smt_solves",          "sat_cache_hits",
-      "sat_cache_misses",    "sat_assist_proven",
-      "cond_cache_hits",     "cond_cache_misses",
-      "txn_fingerprint_hits", "pair_verdicts_reused",
-      "constraint_cache_hits", "constraint_cache_misses",
-      "solver_ctx_reuses",   "v.ce",
+      "validate_seconds",    "rlimit_spent",
+      "smt_retries",         "smt_solves",
+      "sat_cache_hits",      "sat_cache_misses",
+      "sat_assist_proven",   "cond_cache_hits",
+      "cond_cache_misses",   "txn_fingerprint_hits",
+      "pair_verdicts_reused", "solver_ctx_reuses",
+      "v.ce",
   };
   std::string Out;
   size_t Pos = 0;
@@ -346,17 +354,44 @@ PipelineResult analyzeSource(const std::string &Source, AnalysisCache *Cache,
   return analyzeCached(*P.History, O, *P.Registry, Cache);
 }
 
-TEST(IncrementalDifferential, WarmEditMatchesPlainColdOnEveryExample) {
-  std::vector<std::string> Sources;
+/// Every examples/c4l program, sorted by file name.
+std::vector<std::string> exampleSources() {
+  std::vector<std::string> Names;
   std::string ExampleDir = std::string(C4_SOURCE_DIR) + "/examples/c4l";
   if (DIR *Handle = ::opendir(ExampleDir.c_str())) {
     while (struct dirent *E = ::readdir(Handle)) {
       std::string N = E->d_name;
       if (N.size() > 4 && N.substr(N.size() - 4) == ".c4l")
-        Sources.push_back(readFile(ExampleDir + "/" + N));
+        Names.push_back(N);
     }
     ::closedir(Handle);
   }
+  std::sort(Names.begin(), Names.end());
+  std::vector<std::string> Sources;
+  for (const std::string &N : Names)
+    Sources.push_back(readFile(ExampleDir + "/" + N));
+  return Sources;
+}
+
+/// The benchmark's outside re-check of a witness: it concretizes \p A and
+/// its schedule's DSG is cyclic.
+bool witnessHolds(const CounterExample &CE, const AbstractHistory &A) {
+  if (!findConcretization(CE.H, A).has_value())
+    return false;
+  EventRelations Rel(CE.H);
+  return buildDSG(CE.H, computeDependencies(CE.H, CE.S, Rel)).hasCycle();
+}
+
+/// Per violation, its (inconclusive, validated) marks.
+std::vector<std::pair<bool, bool>> marks(const AnalysisResult &R) {
+  std::vector<std::pair<bool, bool>> Out;
+  for (const Violation &V : R.Violations)
+    Out.emplace_back(V.Inconclusive, V.Validated);
+  return Out;
+}
+
+TEST(IncrementalDifferential, WarmEditMatchesPlainColdOnEveryExample) {
+  std::vector<std::string> Sources = exampleSources();
   ASSERT_FALSE(Sources.empty());
 
   // Per program, its own cache directory: incremental reuse is a
@@ -364,7 +399,7 @@ TEST(IncrementalDifferential, WarmEditMatchesPlainColdOnEveryExample) {
   // a clean same-program differential against its plain cold reference
   // (same scoping as bench_table1 --incremental).
   uint64_t TxnHits = 0;
-  unsigned Idx = 0;
+  unsigned Idx = 0, Witnesses = 0;
   for (const std::string &S : Sources) {
     std::string Dir =
         freshDir(("differential" + std::to_string(Idx++)).c_str());
@@ -383,15 +418,190 @@ TEST(IncrementalDifferential, WarmEditMatchesPlainColdOnEveryExample) {
     EXPECT_TRUE(Cache.incremental());
     std::string Edited = renameLastTxn(S);
     ASSERT_FALSE(Edited.empty());
-    PipelineResult Cold = analyzeSource(Edited, nullptr);
-    PipelineResult Warm = analyzeSource(Edited, &Cache);
+    CompiledProgram P = compile(Edited);
+    AnalyzerOptions O;
+    PipelineResult Cold = analyzeCached(*P.History, O, *P.Registry, nullptr);
+    PipelineResult Warm = analyzeCached(*P.History, O, *P.Registry, &Cache);
     EXPECT_EQ(stripVolatile(serializeResult(Warm.R)),
               stripVolatile(serializeResult(Cold.R)));
+    // A rename changes no content digest: every outcome replays, cycles
+    // included, and no query reaches Z3.
+    EXPECT_EQ(Warm.R.SmtSolves, 0u) << Edited;
+    EXPECT_EQ(marks(Warm.R), marks(Cold.R));
+    // Replayed witnesses are full counter-examples of the edited program.
+    for (const Violation &V : Warm.R.Violations) {
+      if (V.Inconclusive)
+        continue;
+      ASSERT_TRUE(V.CE.has_value());
+      EXPECT_TRUE(witnessHolds(*V.CE, *P.History)) << V.CE->Text;
+      ++Witnesses;
+    }
     TxnHits += Warm.R.TxnFingerprintHits;
   }
   // The rename left every transaction's content digest intact, so the
   // warm runs must actually have recognized them.
   EXPECT_GT(TxnHits, 0u);
+  EXPECT_GT(Witnesses, 0u);
+}
+
+/// A long fork whose sessions must run getters before putters: session
+/// merges are illegal, so the §7.2 generalization has to ask Z3 about
+/// its segments, and finds a cycle. The last transaction, which the
+/// rename edits, is an unrelated reader.
+const char *OrderedFork = "container map M;\n"
+                          "container map N;\n"
+                          "txn P(x, y) { M.put(x, y); }\n"
+                          "txn G(z) { let v = M.get(z); return v; }\n"
+                          "order G -> P;\n"
+                          "txn Q(k) { let w = N.get(k); return w; }\n";
+
+TEST(IncrementalDifferential, GeneralizationCycleReplaysBlockedStatus) {
+  std::string Dir = freshDir("generalize_cycle");
+  {
+    AnalysisCache Cache(Dir, /*Incremental=*/true);
+    analyzeSource(OrderedFork, &Cache);
+  }
+  AnalysisCache Cache(Dir, /*Incremental=*/true);
+  std::string Edited = renameLastTxn(OrderedFork);
+  ASSERT_FALSE(Edited.empty());
+  CompiledProgram P = compile(Edited);
+  AnalyzerOptions O;
+  QueryTrace Trace;
+  O.Trace = &Trace;
+  PipelineResult Warm = analyzeCached(*P.History, O, *P.Registry, &Cache);
+  O.Trace = nullptr;
+  PipelineResult Cold = analyzeCached(*P.History, O, *P.Registry, nullptr);
+  EXPECT_FALSE(Cold.R.Generalized);
+  EXPECT_EQ(stripVolatile(serializeResult(Warm.R)),
+            stripVolatile(serializeResult(Cold.R)));
+  EXPECT_EQ(Warm.R.SmtSolves, 0u);
+  unsigned Blocked = 0;
+  for (const QueryRecord &Q : Trace.records())
+    if (std::string(Q.Stage) == "generalize") {
+      EXPECT_TRUE(Q.Reused);
+      Blocked += std::string(Q.Outcome) == "cycle";
+    }
+  EXPECT_GT(Blocked, 0u);
+}
+
+/// Two independent long forks: {putM, getM} on M and {putN, getN} on N.
+const char *TwoForks = "container map M;\n"
+                       "container map N;\n"
+                       "txn putM(x, y) { M.put(x, y); }\n"
+                       "txn getM(z) { let v = M.get(z); return v; }\n"
+                       "txn putN(w) { N.put(w, 1); }\n"
+                       "txn getN(u) { let v = N.get(u); return v; }\n";
+
+/// One analysis of a program against a store over a given base.
+struct StoreRun {
+  AnalysisResult R;
+  IncrementalSnapshot Fresh; ///< the records the run added
+  uint64_t Hits = 0, Misses = 0;
+};
+
+StoreRun runWithStore(const CompiledProgram &P, const AnalyzerOptions &O,
+                      const IncrementalSnapshot &Base) {
+  IncrementalStore Store(&Base);
+  AnalyzerOptions O2 = O;
+  O2.Incremental = &Store;
+  StoreRun Out;
+  Out.R = analyze(*P.History, O2);
+  Store.exportInto(Out.Fresh);
+  Out.Hits = Store.hits();
+  Out.Misses = Store.misses();
+  return Out;
+}
+
+/// Bounded-stage record key -> whether its unfolding instantiates \p Txn,
+/// for every unfolding of \p P with candidate cycles. Mirrors the bounded
+/// check's keying without the prefilter's SSG assist, so \p O must have
+/// UsePrefilter off.
+std::map<std::string, bool> boundedKeys(const CompiledProgram &P,
+                                        const AnalyzerOptions &O,
+                                        unsigned Txn) {
+  const AbstractHistory &A = *P.History;
+  std::vector<bool> Mask(A.numEvents(), true);
+  std::string Ctx = incrementalContextDigest(A, O, Mask);
+  std::map<std::string, bool> Out;
+  for (unsigned K = 2; K <= O.MaxK; ++K) {
+    bool Truncated = false;
+    for (const Unfolding &U :
+         enumerateUnfoldings(A, K, O.MaxUnfoldings, Truncated)) {
+      SSG G(U.H, O.Features, U.SessionTags);
+      G.setEventMask(std::vector<bool>(U.H.numEvents(), true));
+      G.analyze();
+      bool CandTruncated = false;
+      std::vector<CandidateCycle> Cands =
+          G.candidateCycles(O.MaxCandidateCycles, CandTruncated);
+      if (Cands.empty())
+        continue;
+      std::vector<unsigned> Set = U.origTxnSet();
+      Out[unfoldingRecordKey(Ctx, U, Cands, "bounded")] =
+          std::binary_search(Set.begin(), Set.end(), Txn);
+    }
+  }
+  return Out;
+}
+
+TEST(IncrementalDifferential, ContentEditReplaysUntouchedRecords) {
+  // Change one constant of putN's body; the event count stays.
+  std::string Edited = TwoForks;
+  size_t At = Edited.find("N.put(w, 1)");
+  ASSERT_NE(At, std::string::npos);
+  Edited.replace(At, 11, "N.put(w, 2)");
+  CompiledProgram P0 = compile(TwoForks);
+  CompiledProgram P1 = compile(Edited);
+  ASSERT_EQ(P0.History->numEvents(), P1.History->numEvents());
+  unsigned PutN = 2;
+  ASSERT_EQ(P1.History->txn(PutN).Name, "putN");
+
+  // Through the cache, exactly as a restarted tool: the warm run matches
+  // a plain cold run and re-solves only some of the queries.
+  std::string Dir = freshDir("content_edit");
+  {
+    AnalysisCache Cache(Dir, /*Incremental=*/true);
+    analyzeSource(TwoForks, &Cache);
+  }
+  AnalysisCache Cache(Dir, /*Incremental=*/true);
+  PipelineResult Cold = analyzeSource(Edited, nullptr);
+  PipelineResult Warm = analyzeSource(Edited, &Cache);
+  EXPECT_EQ(stripVolatile(serializeResult(Warm.R)),
+            stripVolatile(serializeResult(Cold.R)));
+  EXPECT_EQ(marks(Warm.R), marks(Cold.R));
+  EXPECT_GT(Warm.R.SmtSolves, 0u);
+  EXPECT_LT(Warm.R.SmtSolves, Cold.R.SmtSolves);
+
+  // Record by record: every bounded query of the edited program whose
+  // unfolding lacks putN finds the unedited program's record, and the
+  // edit invalidated every query whose unfolding has it.
+  AnalyzerOptions O;
+  O.UsePrefilter = false;
+  O.NumThreads = 1;
+  IncrementalSnapshot Empty;
+  IncrementalSnapshot S0 = runWithStore(P0, O, Empty).Fresh;
+  IncrementalSnapshot S1 = runWithStore(P1, O, Empty).Fresh;
+  std::map<std::string, bool> Keys = boundedKeys(P1, O, PutN);
+  unsigned Untouched = 0, Touched = 0;
+  for (const auto &[Key, HasPutN] : Keys) {
+    if (!S1.record(Key))
+      continue; // not queried by the edited program
+    if (HasPutN) {
+      EXPECT_EQ(S0.record(Key), nullptr);
+      ++Touched;
+    } else {
+      EXPECT_NE(S0.record(Key), nullptr);
+      ++Untouched;
+    }
+  }
+  EXPECT_GT(Untouched, 0u);
+  EXPECT_GT(Touched, 0u);
+  // The warm run over the unedited program's records solves exactly the
+  // queries it could not find, and agrees with the cold run.
+  StoreRun W = runWithStore(P1, O, S0);
+  EXPECT_GT(W.Hits, 0u);
+  EXPECT_EQ(W.R.SmtSolves, W.Misses);
+  EXPECT_EQ(stripVolatile(serializeResult(W.R)),
+            stripVolatile(serializeResult(analyze(*P1.History, O))));
 }
 
 TEST(IncrementalDifferential, NoIncrementalEscapeHatchAgreesWithPlain) {
@@ -411,12 +621,83 @@ TEST(IncrementalDifferential, NoIncrementalEscapeHatchAgreesWithPlain) {
   PipelineResult On = analyzeSource(Edited, &Cache, /*UseIncremental=*/true);
   // --no-incremental bypasses every reuse layer: no reuse counters at all.
   EXPECT_EQ(Off.R.TxnFingerprintHits, 0u);
-  EXPECT_EQ(Off.R.ConstraintCacheHits + Off.R.ConstraintCacheMisses, 0u);
+  EXPECT_EQ(Off.R.SmtSolves, Plain.R.SmtSolves);
   // All three agree on verdicts and logical counters.
   EXPECT_EQ(stripVolatile(serializeResult(Off.R)),
             stripVolatile(serializeResult(Plain.R)));
   EXPECT_EQ(stripVolatile(serializeResult(On.R)),
             stripVolatile(serializeResult(Plain.R)));
+}
+
+//===----------------------------------------------------------------------===//
+// Stage-time ledger
+//===----------------------------------------------------------------------===//
+
+TEST(StageLedger, ParallelRunsChargeReplayLookups) {
+  // A warm two-thread run: every replayed record's WallMs is its lookup
+  // time, all of which must land in incremental_seconds.
+  std::string Source = readFile(std::string(C4_SOURCE_DIR) +
+                                "/examples/c4l/fig12_fresh_rows.c4l");
+  std::string Dir = freshDir("parallel_ledger");
+  {
+    AnalysisCache Cache(Dir, /*Incremental=*/true);
+    analyzeSource(Source, &Cache);
+  }
+  AnalysisCache Cache(Dir, /*Incremental=*/true);
+  CompiledProgram P = compile(renameLastTxn(Source));
+  AnalyzerOptions O;
+  O.NumThreads = 2;
+  QueryTrace Trace;
+  O.Trace = &Trace;
+  PipelineResult Warm = analyzeCached(*P.History, O, *P.Registry, &Cache);
+  ASSERT_FALSE(Warm.CacheHit);
+  double Bounded = 0, All = 0;
+  unsigned Replayed = 0;
+  for (const QueryRecord &Q : Trace.records()) {
+    if (!Q.Reused)
+      continue;
+    ++Replayed;
+    All += Q.WallMs / 1000.0;
+    if (std::string(Q.Stage) == "bounded")
+      Bounded += Q.WallMs / 1000.0;
+  }
+  EXPECT_GT(Replayed, 1u);
+  EXPECT_GT(Bounded, 0.0);
+  EXPECT_GE(Warm.R.IncrementalSeconds * (1 + 1e-9), Bounded);
+  EXPECT_GE(Warm.R.IncrementalSeconds * (1 + 1e-9), All);
+}
+
+TEST(StageLedger, StageSecondsNeverExceedBackend) {
+  // With one thread the stage timers measure disjoint intervals of the
+  // run, so their sum is bounded by its wall time, cold and warm. A warm
+  // run that reaches Z3 zero times charges the SMT stage nothing — also
+  // when generalization looks its chunks up (OrderedFork).
+  std::vector<std::string> Sources = exampleSources();
+  Sources.push_back(OrderedFork);
+  unsigned Idx = 0;
+  for (const std::string &S : Sources) {
+    std::string Dir = freshDir(("ledger" + std::to_string(Idx++)).c_str());
+    AnalyzerOptions O;
+    O.NumThreads = 1;
+    for (bool Warm : {false, true}) {
+      // The cold pass populates the cache; the warm pass re-analyzes a
+      // renamed copy, which misses the verdict layer.
+      AnalysisCache Cache(Dir, /*Incremental=*/true);
+      CompiledProgram P = compile(Warm ? renameLastTxn(S) : S);
+      PipelineResult PR = analyzeCached(*P.History, O, *P.Registry, &Cache);
+      ASSERT_FALSE(PR.CacheHit);
+      const AnalysisResult &R = PR.R;
+      double Stages = R.SSGSeconds + R.EnumSeconds + R.SmtSeconds +
+                      R.PrefilterSeconds + R.IncrementalSeconds +
+                      R.ValidateSeconds;
+      EXPECT_LE(Stages, R.BackendSeconds)
+          << (Warm ? "warm" : "cold") << " run of\n" << S;
+      if (Warm) {
+        EXPECT_EQ(R.SmtSolves, 0u) << S;
+        EXPECT_EQ(R.SmtSeconds, 0.0) << S;
+      }
+    }
+  }
 }
 
 } // namespace

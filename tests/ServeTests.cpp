@@ -656,7 +656,8 @@ TEST(Serve, SnapshotImportExportRoundTrip) {
   // Two crafted facts import; the next export must be EMPTY — a worker
   // never echoes imported facts back to the router (the delta baseline
   // advances past them on import). Malformed and version-skewed blobs are
-  // rejected cleanly, leaving the server alive.
+  // rejected cleanly, leaving the server alive. One worker answers the
+  // requests in order, so the stats op sees the export before it.
   auto Lines = runServe(
       "{\"id\": 1, \"op\": \"snapshot_import\", \"snapshot\": "
       "\"c4-oracle-snapshot 2\\n+set|0|1|0||\\n-set|0|2|0||\\n\"}\n"
@@ -666,7 +667,7 @@ TEST(Serve, SnapshotImportExportRoundTrip) {
       "\"c4-oracle-snapshot 1\\n+old-format-key\\n\"}\n"
       "{\"id\": 5, \"op\": \"stats\"}\n"
       "{\"id\": 6, \"op\": \"shutdown\"}\n",
-      "--cache-dir " + Dir);
+      "--workers 1 --cache-dir " + Dir);
   std::string Imported = replyFor(Lines, "1");
   EXPECT_TRUE(contains(Imported, "\"ok\": true")) << Imported;
   EXPECT_TRUE(contains(Imported, "\"imported\": 2")) << Imported;

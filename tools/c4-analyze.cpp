@@ -47,15 +47,15 @@
 ///                          statistics byte-for-byte; any miss or corrupt
 ///                          entry silently falls back to a cold analysis
 ///     --incremental-cache <dir>
-///                          like --cache-dir, plus the incremental layers:
-///                          per-unfolding NoCycle records keyed by
-///                          transaction content digests and a canonicalized
-///                          constraint cache, so after an edit only the
+///                          like --cache-dir, plus the incremental layer:
+///                          per-unfolding outcome records (cycles with
+///                          their witness models) keyed by transaction
+///                          content digests, so after an edit only the
 ///                          queries touching the edited transaction are
 ///                          re-solved (verdicts are identical either way)
 ///     --no-incremental     keep the verdict/oracle layers of
 ///                          --incremental-cache but disable the incremental
-///                          record and constraint layers (A/B baseline)
+///                          record layer (A/B baseline)
 ///     --seed <n>           RNG seed for --simulate (default 0xC4C4)
 ///     --simulate <n>       additionally execute n randomized workloads on
 ///                          the causal-store simulator and report how often

@@ -34,8 +34,7 @@
 ///                            c4-analyze --cache-dir)
 ///     --incremental-cache <dir>
 ///                            like --cache-dir, plus the incremental
-///                            layers: per-unfolding NoCycle records and
-///                            the canonicalized constraint cache (same
+///                            layer: per-unfolding outcome records (same
 ///                            semantics as c4-analyze --incremental-cache)
 ///
 /// The socket modes run a single poll(2) event-loop thread (one fd per
@@ -251,7 +250,7 @@ std::string statsReply(const std::string &Id, AnalysisCache *Cache,
       "\"disk_corrupt\": %llu, \"disk_stores\": %llu, "
       "\"oracle_entries\": %zu, "
       "\"incremental_enabled\": %s, \"incremental_records\": %zu, "
-      "\"incremental_txns\": %zu, \"constraint_proofs\": %zu, "
+      "\"incremental_txns\": %zu, "
       "\"connections\": %llu, \"replies_dropped\": %llu, "
       "\"overload_rejects\": %llu, "
       "\"unix_accepts\": %llu, \"unix_closes\": %llu, "
@@ -270,7 +269,6 @@ std::string statsReply(const std::string &Id, AnalysisCache *Cache,
       Cache ? Cache->oracleEntries() : size_t(0), Incr ? "true" : "false",
       Incr ? Cache->incrRecords() : size_t(0),
       Incr ? Cache->incrTxns() : size_t(0),
-      Incr ? Cache->greenProofs() : size_t(0),
       static_cast<unsigned long long>(SC.Connections.load()),
       static_cast<unsigned long long>(SC.DroppedReplies.load()),
       static_cast<unsigned long long>(SC.Overloads.load()),
