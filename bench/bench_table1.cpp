@@ -27,16 +27,12 @@
 /// analyzes every app twice — raw and reduced — compares the verdicts
 /// (they must match; a mismatch is a soundness regression and fails the
 /// run), and writes BENCH_passes.json with per-app and suite-wide event,
-/// SSG-edge and SMT-query counts before/after reduction. The reduced
-/// corpus is additionally analyzed a third time with the relational-domain
-/// prefilter disabled: the verdicts must again match byte for byte (the
-/// prefilter may only skip Z3 work, never change an answer), and the JSON
-/// gains the prefilter kill fraction, domain time and on/off wall clocks.
+/// SSG-edge and SMT-query counts before/after reduction.
 ///
 /// `--serve-sim <file>` simulates the c4-serve cross-run cache instead of
 /// printing the table: every app is analyzed twice through one
 /// AnalysisCache rooted in a fresh temp directory — a cold pass that
-/// populates the verdict and oracle layers, then a warm pass that must hit
+/// populates the verdict layer, then a warm pass that must hit
 /// on every request with a byte-identical serialized result (a mismatch or
 /// warm miss fails the run). Writes the warm-vs-cold timing aggregate to
 /// the given file (BENCH_serve.json in CI).
@@ -53,7 +49,7 @@
 /// normalized), and the warm-edit pass must not reach Z3 at all
 /// (`smt_solves` 0: a rename changes no content digest, so every outcome,
 /// cycles included, replays). Writes the aggregate — wall times, solve
-/// counts, fingerprint and pair-verdict reuse — to the given file
+/// counts, fingerprint and solver-context reuse — to the given file
 /// (BENCH_incremental.json in CI).
 ///
 /// `--fleet <file>` is the serving tier's load generator and soak harness:
@@ -76,10 +72,9 @@
 /// single-process assertions (fleet-wide single-flight on stampedes,
 /// zero dropped replies, clean SIGTERM drain with no orphaned workers)
 /// it injects a fault — one worker is SIGKILLed midway through the soak,
-/// and every reply must still arrive verdict-correct — and asserts the
-/// shared snapshot tier moved facts between workers and that rendezvous
-/// stickiness kept total backend runs below the Apps x Workers an
-/// unrouted fleet would spend. Replies are compared to the reference by
+/// and every reply must still arrive verdict-correct — and asserts that
+/// rendezvous stickiness kept total backend runs below the Apps x Workers
+/// an unrouted fleet would spend. Replies are compared to the reference by
 /// verdict (not counter bytes: each worker's cache evolves along its own
 /// shard). Writes the `sharded` section of the same file, preserving the
 /// `single_process` one.
@@ -175,9 +170,6 @@ struct PassRow {
   unsigned EdgesBefore, EdgesAfter;
   unsigned QueriesBefore, QueriesAfter;
   bool VerdictMatch;
-  unsigned QueriesPrefiltered; // reduced runs: queries the domain killed
-  unsigned QueriesNoPrefilter; // reduced runs with the prefilter disabled
-  bool PrefilterMatch;         // prefilter on/off verdicts agree
 };
 
 /// Per-app cold/warm measurements for the --serve-sim comparison.
@@ -211,7 +203,7 @@ void removeCacheDir(const std::string &Root) {
 /// Every app is analyzed (unfiltered + filtered, like the table) through
 /// an AnalysisCache rooted in a fresh temp directory; then the cache
 /// object is torn down and a second instance — which must re-read the
-/// oracle snapshot and verdicts from disk — replays the identical
+/// verdicts from disk — replays the identical
 /// requests. Every warm request must hit, and its serialized result must
 /// be byte-identical to the cold one. Writes the timing aggregate to
 /// \p OutPath and returns the process exit code.
@@ -413,19 +405,17 @@ std::string renameOneTxn(const std::string &Source) {
 /// many satisfying models it reports, the same way rlimit_spent jitters.
 /// The violation *structure* — count, flags, original transaction sets and
 /// names — is the verdict, and must match byte for byte, as must every
-/// logical counter (smt_queries, prefilter, unfolding and SSG counts).
+/// logical counter (smt_queries, unfolding and SSG counts).
 std::string stripIncrementalValues(const std::string &Blob) {
   static const char *const Strip[] = {
       "backend_seconds",     "ssg_seconds",
       "enum_seconds",        "smt_seconds",
-      "prefilter_seconds",   "incremental_seconds",
-      "validate_seconds",    "rlimit_spent",
-      "smt_retries",         "smt_solves",
-      "sat_cache_hits",      "sat_cache_misses",
-      "sat_assist_proven",   "cond_cache_hits",
+      "incremental_seconds", "validate_seconds",
+      "rlimit_spent",        "smt_retries",
+      "smt_solves",          "sat_cache_hits",
+      "sat_cache_misses",    "cond_cache_hits",
       "cond_cache_misses",   "txn_fingerprint_hits",
-      "pair_verdicts_reused", "solver_ctx_reuses",
-      "v.ce",
+      "solver_ctx_reuses",   "v.ce",
   };
   std::string Out;
   size_t Pos = 0;
@@ -458,7 +448,7 @@ struct IncrRow {
   const char *Name;
   double ColdSeconds, WarmSeconds;
   unsigned ColdSolves, WarmSolves;
-  uint64_t TxnHits, PairReused, CtxReuses;
+  uint64_t TxnHits, CtxReuses;
   bool Identical;
 };
 
@@ -529,7 +519,7 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
   unsigned Projects = 0, Failures = 0, Mismatches = 0, EditFailures = 0;
   double ColdSeconds = 0, WarmSeconds = 0;
   uint64_t ColdSolves = 0, WarmSolves = 0;
-  uint64_t TxnHits = 0, PairReused = 0, CtxReuses = 0;
+  uint64_t TxnHits = 0, CtxReuses = 0;
   std::vector<IncrRow> Rows;
 
   // Each app gets its own cache subdirectory: incremental re-analysis is
@@ -622,7 +612,6 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
                   CS,
                   WS,
                   Warm.RU.TxnFingerprintHits + Warm.RF.TxnFingerprintHits,
-                  Warm.RU.PairVerdictsReused + Warm.RF.PairVerdictsReused,
                   Warm.RU.SolverCtxReuses + Warm.RF.SolverCtxReuses,
                   Identical};
       ColdSeconds += Cold.Seconds;
@@ -630,7 +619,6 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
       ColdSolves += CS;
       WarmSolves += WS;
       TxnHits += Row.TxnHits;
-      PairReused += Row.PairReused;
       CtxReuses += Row.CtxReuses;
       Rows.push_back(Row);
     }
@@ -640,12 +628,11 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
   ::rmdir(CacheDir.c_str());
 
   std::printf("  %-18s %9s %9s %7s %7s %6s  %s\n", "Program", "cold [s]",
-              "warm [s]", "solves", "solves", "reuse", "verdict");
+              "warm [s]", "solves", "solves", "txns", "verdict");
   for (const IncrRow &Row : Rows)
     std::printf("  %-18s %9.3f %9.3f %7u %7u %6llu  %s\n", Row.Name,
                 Row.ColdSeconds, Row.WarmSeconds, Row.ColdSolves,
-                Row.WarmSolves,
-                static_cast<unsigned long long>(Row.PairReused),
+                Row.WarmSolves, static_cast<unsigned long long>(Row.TxnHits),
                 Row.Identical ? "identical" : "MISMATCH");
   bool SolvesOk = WarmSolves == 0;
   std::printf("  %-18s %9.3f %9.3f %7llu %7llu         %s\n", "TOTAL",
@@ -667,7 +654,7 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
       "{\n  \"projects\": %u,\n  \"cold_seconds\": %.3f,\n"
       "  \"warm_edit_seconds\": %.3f,\n  \"cold_smt_solves\": %llu,\n"
       "  \"warm_edit_smt_solves\": %llu,\n"
-      "  \"txn_fingerprint_hits\": %llu,\n  \"pair_verdicts_reused\": %llu,\n"
+      "  \"txn_fingerprint_hits\": %llu,\n"
       "  \"solver_ctx_reuses\": %llu,\n"
       "  \"verdict_mismatches\": %u,\n  \"edit_failures\": %u,\n"
       "  \"apps\": [\n",
@@ -675,18 +662,17 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
       static_cast<unsigned long long>(ColdSolves),
       static_cast<unsigned long long>(WarmSolves),
       static_cast<unsigned long long>(TxnHits),
-      static_cast<unsigned long long>(PairReused),
       static_cast<unsigned long long>(CtxReuses), Mismatches, EditFailures);
   for (size_t I = 0; I != Rows.size(); ++I) {
     const IncrRow &Row = Rows[I];
     std::fprintf(F,
                  "    {\"name\": \"%s\", \"cold_seconds\": %.3f, "
                  "\"warm_edit_seconds\": %.3f, \"cold_smt_solves\": %u, "
-                 "\"warm_edit_smt_solves\": %u, \"pair_verdicts_reused\": "
+                 "\"warm_edit_smt_solves\": %u, \"txn_fingerprint_hits\": "
                  "%llu, \"verdict_identical\": %s}%s\n",
                  Row.Name, Row.ColdSeconds, Row.WarmSeconds, Row.ColdSolves,
                  Row.WarmSolves,
-                 static_cast<unsigned long long>(Row.PairReused),
+                 static_cast<unsigned long long>(Row.TxnHits),
                  Row.Identical ? "true" : "false",
                  I + 1 == Rows.size() ? "" : ",");
   }
@@ -832,9 +818,9 @@ std::string stripTimingValues(const std::string &Reply) {
 /// The analysis conclusion of a reply, as a comparable string: the
 /// structural and verdict fields only, none of the cache/solver counters.
 /// In the sharded topology every worker's cache evolves along its own shard
-/// of the request space (and is further pre-seeded by snapshot broadcasts),
-/// so counters like `sat_cache_hits` legitimately differ between a worker
-/// and the sequential single-process reference — but the verdict must not.
+/// of the request space, so counters that depend on cache state may differ
+/// between a worker and the sequential single-process reference — but the
+/// verdict must not.
 std::string verdictSignature(const std::string &Reply) {
   static const char *Keys[] = {
       "\"transactions\": ",           "\"events\": ",
@@ -1019,8 +1005,7 @@ int runFleet(const char *OutPath, bool Quick, unsigned Clients,
               Apps.size(), Clients, RequestsPerClient);
 
   // In-process references, sequentially in corpus order (the server's
-  // stampede phase below replays the same order, so the two caches'
-  // oracle snapshots evolve identically).
+  // stampede phase below replays the same order).
   std::vector<std::string> Requests, References;
   {
     AnalysisCache RefCache(RefDir);
@@ -1313,10 +1298,9 @@ std::vector<long> workerPids(const std::string &Stats) {
 /// The sharded topology's soak: a c4-router front over \p Workers c4-serve
 /// processes, the same corpus and client fleet as runFleet, plus fault
 /// injection — one worker is SIGKILLed midway through the soak and the run
-/// must still deliver every reply with the correct verdict. Asserts the
-/// shared snapshot tier carried facts between workers and that rendezvous
-/// stickiness kept the fleet's total backend runs below what N independent
-/// workers would have spent. Results land in the `sharded` section of
+/// must still deliver every reply with the correct verdict. Asserts that
+/// rendezvous stickiness kept the fleet's total backend runs below what N
+/// independent workers would have spent. Results land in the `sharded` section of
 /// \p OutPath, alongside runFleet's `single_process` section.
 int runFleetSharded(const char *OutPath, bool Quick, unsigned Clients,
                     unsigned RequestsPerClient, unsigned Workers) {
@@ -1392,7 +1376,7 @@ int runFleetSharded(const char *OutPath, bool Quick, unsigned Clients,
                     " --tcp 127.0.0.1:0 --workers " +
                     std::to_string(Workers) +
                     " --worker-threads 2 --max-inflight 0"
-                    " --snapshot-interval-ms 200 --serve-bin " C4_SERVE_BIN
+                    " --serve-bin " C4_SERVE_BIN
                     " --cache-dir " +
                     SrvDir + " 2> " + ErrPath;
   pid_t RouterPid = ::fork();
@@ -1572,16 +1556,13 @@ int runFleetSharded(const char *OutPath, bool Quick, unsigned Clients,
   }
 
   // Post-soak accounting from the router and the workers themselves.
-  long Dropped = -1, Restarts = -1, Broadcasts = -1, FactsImported = -1;
-  long Rerouted = -1;
+  long Dropped = -1, Restarts = -1, Rerouted = -1;
   std::vector<long> FinalPids;
   if (Control.Fd >= 0) {
     Control.sendAll("{\"id\": 0, \"op\": \"stats\"}\n");
     std::string Stats = Control.recvLine();
     Dropped = fleetStatField(Stats, "replies_dropped");
     Restarts = fleetStatField(Stats, "worker_restarts");
-    Broadcasts = fleetStatField(Stats, "snapshot_broadcasts");
-    FactsImported = fleetStatField(Stats, "snapshot_facts_imported");
     Rerouted = fleetStatField(Stats, "rerouted_requests");
     FinalPids = workerPids(Stats);
   }
@@ -1593,14 +1574,8 @@ int runFleetSharded(const char *OutPath, bool Quick, unsigned Clients,
     std::fprintf(stderr, "error: killed worker was never restarted\n");
     ++Failures;
   }
-  if (Broadcasts < 1 || FactsImported < 1) {
-    std::fprintf(stderr,
-                 "error: snapshot tier idle (%ld broadcasts, %ld facts)\n",
-                 Broadcasts, FactsImported);
-    ++Failures;
-  }
-  // Stickiness + the shared snapshot tier must beat N independent workers:
-  // each of those would run every app's backend itself (Apps x Workers).
+  // Stickiness must beat N independent workers: each of those would run
+  // every app's backend itself (Apps x Workers).
   long BackendSum = sumWorkerStat(SrvDir, Workers, "backend_runs");
   long IndependentRuns = static_cast<long>(Apps.size() * Workers);
   if (BackendSum <= 0 || BackendSum >= IndependentRuns) {
@@ -1661,8 +1636,6 @@ int runFleetSharded(const char *OutPath, bool Quick, unsigned Clients,
   std::printf("  workers %u, restarts %ld, rerouted %ld, backend runs %ld "
               "(vs %ld independent)\n",
               Workers, Restarts, Rerouted, BackendSum, IndependentRuns);
-  std::printf("  snapshot tier: %ld broadcasts, %ld facts imported\n",
-              Broadcasts, FactsImported);
   std::printf("  dropped replies %ld, mismatches %u, drain %s\n", Dropped,
               Mismatches, DrainClean ? "clean" : "UNCLEAN");
 
@@ -1673,15 +1646,12 @@ int runFleetSharded(const char *OutPath, bool Quick, unsigned Clients,
                 "\"fleet_seconds\": %.3f, \"rps\": %.0f, \"p50_ms\": %.3f, "
                 "\"p99_ms\": %.3f, \"worker_restarts\": %ld, "
                 "\"rerouted_requests\": %ld, \"backend_runs\": %ld, "
-                "\"independent_backend_runs\": %ld, "
-                "\"snapshot_broadcasts\": %ld, "
-                "\"snapshot_facts_imported\": %ld, \"replies_dropped\": %ld, "
+                "\"independent_backend_runs\": %ld, \"replies_dropped\": %ld, "
                 "\"verdict_mismatches\": %u, \"failures\": %u, "
                 "\"drain_clean\": %s}",
                 Apps.size(), Workers, Clients, RequestsPerClient, All.size(),
                 FleetSeconds, Rps, P50, P99, Restarts, Rerouted, BackendSum,
-                IndependentRuns, Broadcasts, FactsImported, Dropped,
-                Mismatches, Failures, DrainClean ? "true" : "false");
+                IndependentRuns, Dropped, Mismatches, Failures, DrainClean ? "true" : "false");
   if (!mergeFleetJson(OutPath, "sharded", Section))
     return 1;
   std::printf("  sharded soak written to %s (sharded section)\n", OutPath);
@@ -1790,8 +1760,6 @@ int main(int Argc, char **Argv) {
   PassStats TotalPassStats;
   double RawSeconds = 0, ReducedSeconds = 0, PassSeconds = 0;
   unsigned VerdictMismatches = 0;
-  double PrefilterOffSeconds = 0, PrefilterDomainSeconds = 0;
-  unsigned PrefilterMismatches = 0;
 
   for (const BenchApp &App : benchApps()) {
     if (Quick && Projects >= 6)
@@ -1875,35 +1843,10 @@ int main(int Argc, char **Argv) {
       if (!Match)
         ++VerdictMismatches;
 
-      // Prefilter A/B differential on the reduced history: rerun both
-      // variants with the relational domain disabled. The verdicts must
-      // match — the prefilter is only allowed to skip Z3 queries, never
-      // to change an answer.
-      AnalyzerOptions OffU;
-      OffU.UsePrefilter = false;
-      AnalyzerOptions OffF;
-      OffF.DisplayFilter = true;
-      OffF.UseAtomicSets = !P.AtomicSets.empty();
-      OffF.AtomicSets = P.AtomicSets;
-      OffF.UsePrefilter = false;
-      auto OffStart = std::chrono::steady_clock::now();
-      AnalysisResult OU = analyze(*P.History, OffU);
-      AnalysisResult OF = analyze(*P.History, OffF);
-      PrefilterOffSeconds += std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - OffStart)
-                                 .count();
-      bool PMatch =
-          verdictKey(OU) == verdictKey(RU) && verdictKey(OF) == verdictKey(RF);
-      if (!PMatch)
-        ++PrefilterMismatches;
-      PrefilterDomainSeconds += RU.PrefilterSeconds + RF.PrefilterSeconds;
-
       PassRows.push_back({App.Name, RawEvents,
                           P.History->numStoreEvents(), RawEdges,
                           RU.SSGEdges + RF.SSGEdges, RawQueries,
-                          RU.SmtQueries + RF.SmtQueries, Match,
-                          RU.SmtQueriesPrefiltered + RF.SmtQueriesPrefiltered,
-                          OU.SmtQueries + OF.SmtQueries, PMatch});
+                          RU.SmtQueries + RF.SmtQueries, Match});
     }
 
     Counts CU = classifyAll(App, RU);
@@ -2029,7 +1972,7 @@ int main(int Argc, char **Argv) {
     std::printf("  %-18s %13s %13s %13s  %s\n", "Program", "events",
                 "ssg edges", "smt queries", "verdicts");
     unsigned SumEvB = 0, SumEvA = 0, SumEdB = 0, SumEdA = 0, SumQB = 0,
-             SumQA = 0, SumQPre = 0, SumQOff = 0;
+             SumQA = 0;
     for (const PassRow &Row : PassRows) {
       std::printf("  %-18s %5u -> %-5u %5u -> %-5u %5u -> %-5u  %s\n",
                   Row.Name, Row.EventsBefore, Row.EventsAfter,
@@ -2042,8 +1985,6 @@ int main(int Argc, char **Argv) {
       SumEdA += Row.EdgesAfter;
       SumQB += Row.QueriesBefore;
       SumQA += Row.QueriesAfter;
-      SumQPre += Row.QueriesPrefiltered;
-      SumQOff += Row.QueriesNoPrefilter;
     }
     std::printf("  %-18s %5u -> %-5u %5u -> %-5u %5u -> %-5u  %s\n",
                 "TOTAL", SumEvB, SumEvA, SumEdB, SumEdA, SumQB, SumQA,
@@ -2053,16 +1994,6 @@ int main(int Argc, char **Argv) {
                 TotalPassStats.DeadWrites, TotalPassStats.PrunedBranches,
                 TotalPassStats.ConstProps, TotalPassStats.FreshPromotions,
                 PassSeconds);
-    double KillFraction =
-        SumQA + SumQPre
-            ? static_cast<double>(SumQPre) / (SumQA + SumQPre)
-            : 0.0;
-    std::printf("  prefilter: killed %u of %u bounded queries (%.0f%%), "
-                "domain time %.2fs, reduced analysis %.1fs on vs %.1fs "
-                "off, verdicts %s\n",
-                SumQPre, SumQA + SumQPre, 100.0 * KillFraction,
-                PrefilterDomainSeconds, ReducedSeconds, PrefilterOffSeconds,
-                PrefilterMismatches ? "DIVERGE" : "identical");
 
     FILE *F = std::fopen(PassesPath, "w");
     if (!F) {
@@ -2079,15 +2010,6 @@ int main(int Argc, char **Argv) {
                  "  \"smt_queries_after\": %u,\n",
                  SumEvB, SumEvA, SumEdB, SumEdA, SumQB, SumQA);
     std::fprintf(F,
-                 "  \"smt_queries_prefiltered\": %u,\n"
-                 "  \"smt_queries_no_prefilter\": %u,\n"
-                 "  \"prefilter_kill_fraction\": %.4f,\n"
-                 "  \"prefilter_seconds\": %.3f,\n"
-                 "  \"prefilter_verdict_mismatches\": %u,\n"
-                 "  \"analysis_seconds_prefilter_off\": %.1f,\n",
-                 SumQPre, SumQOff, KillFraction, PrefilterDomainSeconds,
-                 PrefilterMismatches, PrefilterOffSeconds);
-    std::fprintf(F,
                  "  \"dead_writes\": %u,\n  \"pruned_branches\": %u,\n"
                  "  \"const_props\": %u,\n  \"fresh_promotions\": %u,\n",
                  TotalPassStats.DeadWrites, TotalPassStats.PrunedBranches,
@@ -2102,20 +2024,15 @@ int main(int Argc, char **Argv) {
       std::fprintf(F,
                    "    {\"name\": \"%s\", \"events\": [%u, %u], "
                    "\"ssg_edges\": [%u, %u], \"smt_queries\": [%u, %u], "
-                   "\"verdict_match\": %s, "
-                   "\"smt_queries_prefiltered\": %u, "
-                   "\"smt_queries_no_prefilter\": %u, "
-                   "\"prefilter_match\": %s}%s\n",
+                   "\"verdict_match\": %s}%s\n",
                    Row.Name, Row.EventsBefore, Row.EventsAfter,
                    Row.EdgesBefore, Row.EdgesAfter, Row.QueriesBefore,
                    Row.QueriesAfter, Row.VerdictMatch ? "true" : "false",
-                   Row.QueriesPrefiltered, Row.QueriesNoPrefilter,
-                   Row.PrefilterMatch ? "true" : "false",
                    I + 1 == PassRows.size() ? "" : ",");
     }
     std::fprintf(F, "  ]\n}\n");
     std::fclose(F);
     std::printf("  pass comparison written to %s\n", PassesPath);
   }
-  return Failures || VerdictMismatches || PrefilterMismatches ? 1 : 0;
+  return Failures || VerdictMismatches ? 1 : 0;
 }

@@ -8,15 +8,11 @@
 
 #include "abstract/Concretize.h"
 #include "analysis/Incremental.h"
-#include "domain/AbstractDomain.h"
-#include "domain/Prefilter.h"
-#include "smt/CondSmt.h"
 #include "spec/CommutativityCache.h"
 #include "support/Format.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
@@ -53,13 +49,10 @@ class Run {
 public:
   Run(const AbstractHistory &Hist, const AnalyzerOptions &Opts,
       std::vector<bool> EventMask, CommutativityOracle *CondOracle,
-      const SatAssist *SatAsst, const Deadline *Dl)
+      const Deadline *Dl)
       : A(Hist), O(Opts), Mask(std::move(EventMask)), Oracle(CondOracle),
-        Assist(SatAsst), DL(Dl) {
-    // The incremental layer is disabled in prefilter-check mode: check
-    // mode exists to actually run Z3 against domain proofs, and a replayed
-    // verdict would mask the disagreement it is hunting for.
-    if (O.UseIncremental && !O.CheckPrefilter && O.Incremental) {
+        DL(Dl) {
+    if (O.UseIncremental && O.Incremental) {
       StageTimer Timer(IncrSec);
       Incr = O.Incremental;
       IncrCtx = incrementalContextDigest(A, O, Mask);
@@ -84,17 +77,12 @@ private:
     bool Cancelled = false;   ///< deadline expired before the solve started
     bool CandTruncated = false;
     bool Flagged = false; ///< the instantiated SSG admitted candidates
-    bool Prefiltered = false; ///< every candidate killed by the domain; the
-                              ///< NoCycle verdict needed no Z3 query
-    bool PrefilterUnknown = false; ///< prefilter ran but left candidates
-    bool PrefilterDisagree = false; ///< --check-prefilter: Z3 contradicted
     bool Reused = false; ///< replayed from a persisted incremental record;
-                         ///< prefilter and solve were both skipped
+                         ///< the solve was skipped
     UnfoldingResult Res;
     SolveTelemetry Tel;
     bool CEValid = false;
-    double SSGSec = 0, SmtSec = 0, PrefilterSec = 0, IncrSec = 0,
-           ValidateSec = 0;
+    double SSGSec = 0, SmtSec = 0, IncrSec = 0, ValidateSec = 0;
   };
   /// Coordination between the workers and the commit loop of one parallel
   /// bounded round, guarded by Mu.
@@ -123,7 +111,6 @@ private:
   void addStageTimes(const UnfoldingOutcome &Out) {
     SSGSec += Out.SSGSec;
     SmtSec += Out.SmtSec;
-    PrefilterSec += Out.PrefilterSec;
     IncrSec += Out.IncrSec;
     ValidateSec += Out.ValidateSec;
   }
@@ -160,14 +147,10 @@ private:
     R.SSGSeconds += SSGSec;
     R.EnumSeconds += EnumSec;
     R.SmtSeconds += SmtSec;
-    R.PrefilterSeconds += PrefilterSec;
     R.ValidateSeconds += ValidateSec;
     R.LayoutsFiltered += LayoutsFilteredGen;
     R.SMTRetries += SmtRetriesGen;
     R.SmtQueries += SmtQueriesGen;
-    R.SmtQueriesPrefiltered += SmtQueriesPrefilteredGen;
-    R.PrefilterUnknowns += PrefilterUnknownsGen;
-    R.PrefilterDisagreements += PrefilterDisagreeGen;
     R.RlimitSpent += RlimitSpentGen;
     R.SmtSolves += SmtSolvesGen;
     R.SolverCtxReuses += SolverCtxReusesGen;
@@ -180,7 +163,6 @@ private:
   const AnalyzerOptions &O;
   std::vector<bool> Mask; // original events included in this run
   CommutativityOracle *Oracle; // shared memoization, may be null
-  const SatAssist *Assist;     // domain assist for sat queries, may be null
   const Deadline *DL;          // the run's analysis deadline (never null)
   // General-SSG pairwise edges over original transactions (self-pairs
   // describe two instances of the same transaction).
@@ -189,17 +171,13 @@ private:
   // execute(); see AnalysisResult for their meaning. LayoutsFilteredGen
   // counts viability-filtered layouts of the generalization check (whose
   // result object is const at filter time).
-  double SSGSec = 0, EnumSec = 0, SmtSec = 0, PrefilterSec = 0,
-         ValidateSec = 0;
+  double SSGSec = 0, EnumSec = 0, SmtSec = 0, ValidateSec = 0;
   unsigned LayoutsFilteredGen = 0;
   // Governance accumulators outside the result object: the generalization
   // check sees a const result, and the viability filter runs under both
   // const and non-const result contexts. Folded in by finishStats.
   unsigned SmtRetriesGen = 0;
   unsigned SmtQueriesGen = 0;
-  unsigned SmtQueriesPrefilteredGen = 0;
-  unsigned PrefilterUnknownsGen = 0;
-  unsigned PrefilterDisagreeGen = 0;
   uint64_t RlimitSpentGen = 0;
   unsigned SmtSolvesGen = 0;
   uint64_t SolverCtxReusesGen = 0;
@@ -252,7 +230,6 @@ void Run::precomputeGeneralEdges() {
   StageTimer Timer(SSGSec);
   SSG G(A, O.Features);
   G.setOracle(Oracle);
-  G.setSatAssist(Assist);
   G.setEventMask(Mask);
   G.analyze();
   unsigned N = A.numTxns();
@@ -464,7 +441,6 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U, Z3Env *Env,
   {
     StageTimer Timer(Out.SSGSec);
     G.setOracle(Oracle);
-    G.setSatAssist(Assist);
     G.setEventMask(maskForUnfolding(U));
     G.analyze();
     Cands = G.candidateCycles(O.MaxCandidateCycles, Out.CandTruncated);
@@ -472,11 +448,11 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U, Z3Env *Env,
   if (Cands.empty())
     return Out;
   Out.Flagged = true;
-  // Incremental record lookup, ahead of the prefilter: a persisted outcome
-  // replays the whole prefilter+solve tail of this unit, counters
-  // included, so a warm run's non-timing statistics match a cold run's.
-  // The key covers the unfolding's name-free content and the exact
-  // candidate set (see analysis/Incremental.h for what is stored).
+  // Incremental record lookup: a persisted outcome replays the solve of
+  // this unit, counters included, so a warm run's non-timing statistics
+  // match a cold run's. The key covers the unfolding's name-free content
+  // and the exact candidate set (see analysis/Incremental.h for what is
+  // stored).
   std::string RecKey;
   const IncrRecord *Rec = nullptr;
   if (Incr) {
@@ -490,46 +466,6 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U, Z3Env *Env,
   }
   if (CS && heldBack(U, Index, *CS)) {
     Out.PrunedEarly = true;
-    return Out;
-  }
-  if (O.UsePrefilter) {
-    // The domain prefilter: when every candidate is proven unrealizable,
-    // NoCycle holds without building a Z3 query. Partial kills fall through
-    // to the full solve (the counter-example text must stay byte-identical
-    // to a --no-prefilter run, so the SMT stage sees the original
-    // candidate list).
-    StageTimer Timer(Out.PrefilterSec);
-    PrefilterResult PR =
-        prefilterCandidates(U, G, Cands, O.Features, Oracle);
-    if (PR.allKilled())
-      Out.Prefiltered = true;
-    else
-      Out.PrefilterUnknown = true;
-  }
-  if (Out.Prefiltered) {
-    Out.Res.Status = UnfoldingResult::NoCycle;
-    if (!O.CheckPrefilter) {
-      if (Incr)
-        Incr->record(RecKey, {.Prefiltered = true});
-      return Out;
-    }
-    // Debug cross-check: solve anyway. A cycle found by Z3 refutes the
-    // domain proof — count the disagreement and trust Z3 (an unknown does
-    // not contradict a proof; the domain verdict stands).
-    UnfoldingResult Check;
-    {
-      StageTimer Timer(Out.SmtSec);
-      SolverPolicy P{O.Budget, DL};
-      Check = solveUnfolding(U, G, Cands, O.Features, P, Oracle, Env,
-                             &Out.Tel);
-    }
-    if (Check.Status == UnfoldingResult::CycleFound) {
-      Out.PrefilterDisagree = true;
-      Out.Prefiltered = false;
-      Out.Res = std::move(Check);
-      StageTimer Timer(Out.ValidateSec);
-      Out.CEValid = validateCE(*Out.Res.CE);
-    }
     return Out;
   }
   {
@@ -548,8 +484,7 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U, Z3Env *Env,
   // canonical witness (UnfoldingResult::Witness).
   if (Incr && !Out.Tel.Error &&
       (Out.Res.Status == UnfoldingResult::NoCycle || Out.Res.Witness))
-    Incr->record(RecKey, {.PrefilterUnknown = Out.PrefilterUnknown,
-                          .Attempts = Out.Tel.Attempts,
+    Incr->record(RecKey, {.Attempts = Out.Tel.Attempts,
                           .CtxReuses = Out.Tel.CtxReuses,
                           .RlimitBudget = Out.Tel.RlimitBudget,
                           .Cycle = Cycle,
@@ -563,8 +498,6 @@ bool Run::replay(const IncrRecord &Rec, const Unfolding &U,
   if (Rec.Cycle && !(Rec.Witness && Rec.Witness->fits(U, Cands.size())))
     return false;
   Out.Reused = true;
-  Out.Prefiltered = Rec.Prefiltered;
-  Out.PrefilterUnknown = Rec.PrefilterUnknown;
   Out.Tel.Attempts = Rec.Attempts;
   Out.Tel.CtxReuses = Rec.CtxReuses;
   Out.Tel.RlimitBudget = Rec.RlimitBudget;
@@ -595,12 +528,7 @@ void Run::commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
   if (!Out.Flagged)
     return;
   ++R.SSGFlagged;
-  if (Out.Prefiltered)
-    ++R.SmtQueriesPrefiltered; // the NoCycle verdict cost no Z3 query
-  else
-    ++R.SmtQueries;
-  R.PrefilterUnknowns += Out.PrefilterUnknown;
-  R.PrefilterDisagreements += Out.PrefilterDisagree;
+  ++R.SmtQueries;
   // Governance accounting and the trace record happen at commit time, in
   // enumeration order, so both are deterministic across thread counts.
   // (RlimitSpent is telemetry — Z3's spent counter can jitter by a few
@@ -636,17 +564,15 @@ void Run::commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
     Rec.Stage = "bounded";
     Rec.K = K;
     Rec.Unfolding = Index;
-    // Prefiltered and reused queries issued no solve attempt; for reused
-    // records the replayed count matches the cold run's trace line.
-    Rec.Attempts = Out.Prefiltered || Out.Reused
-                       ? Out.Tel.Attempts
-                       : std::max(1u, Out.Tel.Attempts);
+    // Reused queries issued no solve attempt; the replayed count matches
+    // the cold run's trace line.
+    Rec.Attempts =
+        Out.Reused ? Out.Tel.Attempts : std::max(1u, Out.Tel.Attempts);
     Rec.RlimitBudget = Out.Tel.RlimitBudget;
     Rec.RlimitSpent = Out.Tel.RlimitSpent;
     Rec.Outcome = Outcome;
-    Rec.Prefiltered = Out.Prefiltered;
     Rec.Reused = Out.Reused;
-    Rec.WallMs = (Out.SmtSec + Out.PrefilterSec + Out.IncrSec) * 1000.0;
+    Rec.WallMs = (Out.SmtSec + Out.IncrSec) * 1000.0;
     O.Trace->append(Rec);
   }
   if (Out.Res.Status == UnfoldingResult::CycleFound) {
@@ -825,7 +751,6 @@ Run::buildMerges(const Unfolding &U,
       StageTimer Timer(SSGSec);
       SSG G(MU.H, O.Features, MU.SessionTags);
       G.setOracle(Oracle);
-      G.setSatAssist(Assist);
       G.setEventMask(maskForUnfolding(MU));
       G.analyze();
       Result.push_back({std::move(MapTxn), G.graph()});
@@ -927,7 +852,6 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
     }
     SSG G(U.H, O.Features, U.SessionTags);
     G.setOracle(Oracle);
-    G.setSatAssist(Assist);
     G.setEventMask(maskForUnfolding(U));
     {
       StageTimer Timer(SSGSec);
@@ -990,7 +914,7 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
       // encoding (orders, control flow, facts) is built once and chunks
       // 2..n add only their cycle selectors under push/pop, instead of
       // re-encoding everything per chunk. Lazily built — unfoldings whose
-      // chunks are all prefiltered or replayed never pay for an encoding.
+      // chunks are all replayed never pay for an encoding.
       std::optional<LayoutSolver> LS;
       for (size_t Begin = 0;
            Begin < Remaining.size() &&
@@ -1006,12 +930,12 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
                 std::min(Remaining.size(), Begin + 64));
         SolveTelemetry Tel;
         double ChunkSec = 0;
-        bool Prefiltered = false;
         bool Reused = false;
+        ++SmtQueriesGen;
         // Incremental record lookup first (see solveOne): a persisted
-        // outcome replays the chunk's prefilter+solve counters. A cycle
-        // record replays only the "blocked" status: a generalization-stage
-        // cycle is never reported.
+        // outcome replays the chunk's solve counters. A cycle record
+        // replays only the "blocked" status: a generalization-stage cycle
+        // is never reported.
         std::string RecKey;
         if (Incr) {
           double IncrChunkSec = 0;
@@ -1020,17 +944,11 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
             RecKey = unfoldingRecordKey(IncrCtx, U, Chunk, "generalize");
             if (const IncrRecord *Rec = Incr->lookup(RecKey)) {
               Reused = true;
-              Prefiltered = Rec->Prefiltered;
               Res.Status = Rec->Cycle ? UnfoldingResult::CycleFound
                                       : UnfoldingResult::NoCycle;
               Tel.Attempts = Rec->Attempts;
               Tel.CtxReuses = Rec->CtxReuses;
               Tel.RlimitBudget = Rec->RlimitBudget;
-              if (Prefiltered)
-                ++SmtQueriesPrefilteredGen;
-              else
-                ++SmtQueriesGen;
-              PrefilterUnknownsGen += Rec->PrefilterUnknown;
               if (Tel.Attempts > 1)
                 SmtRetriesGen += Tel.Attempts - 1;
               SolverCtxReusesGen += Tel.CtxReuses;
@@ -1039,82 +957,41 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
           IncrSec += IncrChunkSec;
           ChunkSec += IncrChunkSec;
         }
-        bool PrefUnknown = false;
         if (!Reused) {
-          // Domain prefilter per chunk, mirroring the bounded stage: when
-          // every segment of the chunk dies, the NoCycle verdict needs no
-          // Z3 query (in check mode the solve still runs, Z3 is trusted).
-          if (O.UsePrefilter) {
-            double PfSec = 0;
-            {
-              StageTimer PfTimer(PfSec);
-              PrefilterResult PR =
-                  prefilterCandidates(U, G, Chunk, O.Features, Oracle);
-              Prefiltered = PR.allKilled();
-            }
-            PrefilterSec += PfSec;
-            ChunkSec += PfSec;
-            if (!Prefiltered) {
-              ++PrefilterUnknownsGen;
-              PrefUnknown = true;
-            }
+          double SolveSec = 0;
+          {
+            StageTimer SolveTimer(SolveSec);
+            if (!LS)
+              LS.emplace(U, G, O.Features, P, Oracle, &seqEnv());
+            Res = LS->solve(Chunk, &Tel);
           }
-          if (Prefiltered && !O.CheckPrefilter) {
-            Res.Status = UnfoldingResult::NoCycle;
-            ++SmtQueriesPrefilteredGen;
-            if (Incr)
-              Incr->record(RecKey, {.Prefiltered = true});
-          } else {
-            double SolveSec = 0;
-            {
-              StageTimer SolveTimer(SolveSec);
-              if (!LS)
-                LS.emplace(U, G, O.Features, P, Oracle, &seqEnv());
-              Res = LS->solve(Chunk, &Tel);
-            }
-            SmtSec += SolveSec;
-            ChunkSec += SolveSec;
-            if (Prefiltered) {
-              if (Res.Status == UnfoldingResult::CycleFound) {
-                ++PrefilterDisagreeGen; // Z3 refuted the domain proof
-                Prefiltered = false;
-                ++SmtQueriesGen;
-              } else {
-                Res.Status = UnfoldingResult::NoCycle;
-                ++SmtQueriesPrefilteredGen;
-              }
-            } else {
-              ++SmtQueriesGen;
-            }
-            if (Tel.Attempts > 1)
-              SmtRetriesGen += Tel.Attempts - 1;
-            RlimitSpentGen += Tel.RlimitSpent;
-            SolverCtxReusesGen += Tel.CtxReuses;
-            if (Tel.Attempts > 0)
-              ++SmtSolvesGen;
-            bool Cycle = Res.Status == UnfoldingResult::CycleFound;
-            if (Incr && !Tel.Error && Res.Status != UnfoldingResult::Unknown)
-              Incr->record(RecKey, {.PrefilterUnknown = PrefUnknown,
-                                    .Attempts = Tel.Attempts,
-                                    .CtxReuses = Tel.CtxReuses,
-                                    .RlimitBudget = Tel.RlimitBudget,
-                                    .Cycle = Cycle});
-          }
+          SmtSec += SolveSec;
+          ChunkSec += SolveSec;
+          if (Tel.Attempts > 1)
+            SmtRetriesGen += Tel.Attempts - 1;
+          RlimitSpentGen += Tel.RlimitSpent;
+          SolverCtxReusesGen += Tel.CtxReuses;
+          if (Tel.Attempts > 0)
+            ++SmtSolvesGen;
+          bool Cycle = Res.Status == UnfoldingResult::CycleFound;
+          if (Incr && !Tel.Error && Res.Status != UnfoldingResult::Unknown)
+            Incr->record(RecKey, {.Attempts = Tel.Attempts,
+                                  .CtxReuses = Tel.CtxReuses,
+                                  .RlimitBudget = Tel.RlimitBudget,
+                                  .Cycle = Cycle});
         }
         if (O.Trace) {
           QueryRecord Rec;
           Rec.Stage = "generalize";
           Rec.K = K;
           Rec.Unfolding = GenIndex;
-          Rec.Attempts = Prefiltered || Reused ? Tel.Attempts
-                                               : std::max(1u, Tel.Attempts);
+          Rec.Attempts = Reused ? Tel.Attempts : std::max(1u, Tel.Attempts);
           Rec.RlimitBudget = Tel.RlimitBudget;
           Rec.RlimitSpent = Tel.RlimitSpent;
           Rec.Outcome = Res.Status == UnfoldingResult::NoCycle ? "no-cycle"
                         : Res.Status == UnfoldingResult::CycleFound
                             ? "cycle"
                             : (Tel.Error ? "error" : "unknown");
-          Rec.Prefiltered = Prefiltered;
           Rec.Reused = Reused;
           Rec.WallMs = ChunkSec * 1000.0;
           O.Trace->append(Rec);
@@ -1153,7 +1030,6 @@ void Run::execute(AnalysisResult &R) {
     StageTimer Timer(SSGSec);
     SSG General(A, O.Features);
     General.setOracle(Oracle);
-    General.setSatAssist(Assist);
     General.setEventMask(Mask);
     General.analyze();
     R.SSGEdges +=
@@ -1225,38 +1101,8 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
   // One memoization oracle per analyze() call: the rewrite-spec conditions
   // and satisfiability verdicts are shared by every SSG instantiation and
   // SMT encoding of the run (across atomic sets, unfoldings and threads).
-  // A caller-provided long-lived oracle (service / verdict cache) takes
-  // precedence, carrying verdicts across runs.
   CommutativityOracle Oracle;
-  CommutativityOracle *OraclePtr =
-      !O.UseOracle ? nullptr
-                   : (O.ExternalOracle ? O.ExternalOracle : &Oracle);
-
-  // The domain assist strengthening the SSG stage's satisfiability tests
-  // (oracle call site of the prefilter). Thread-safe: domainDecide is pure
-  // and the check-mode counter is atomic. In check mode every domain proof
-  // is cross-checked against Z3; a contradiction is counted and the
-  // verdict degraded to Unknown so the congruence fallback (whose verdicts
-  // Z3 vouches for separately) stays authoritative.
-  std::atomic<unsigned> AssistDisagreements{0};
-  SatAssist Assist;
-  if (O.UsePrefilter) {
-    bool Check = O.CheckPrefilter;
-    Assist = [Check, &AssistDisagreements](
-                 const Cond &C, const EventFacts &Src,
-                 const EventFacts &Tgt) -> AssistVerdict {
-      DomainVerdict V = domainDecide(C, Src, Tgt);
-      if (V == DomainVerdict::Unknown)
-        return AssistVerdict::Unknown;
-      bool Sat = V == DomainVerdict::ProvenSat;
-      if (Check && z3CondSatisfiable(C, Src, Tgt) != Sat) {
-        AssistDisagreements.fetch_add(1, std::memory_order_relaxed);
-        return AssistVerdict::Unknown;
-      }
-      return Sat ? AssistVerdict::Sat : AssistVerdict::Unsat;
-    };
-  }
-  const SatAssist *AssistPtr = Assist ? &Assist : nullptr;
+  CommutativityOracle *OraclePtr = O.UseOracle ? &Oracle : nullptr;
 
   // Base mask: the display-code filter.
   std::vector<bool> Base(A.numEvents(), true);
@@ -1270,7 +1116,7 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
   // store and count how many were already present in the persisted base —
   // the `txn_fingerprint_hits` signal of how much of the program survived
   // the edit unchanged.
-  if (O.UseIncremental && !O.CheckPrefilter && O.Incremental) {
+  if (O.UseIncremental && O.Incremental) {
     StageTimer Timer(R.IncrementalSeconds);
     for (unsigned T = 0; T != A.numTxns(); ++T) {
       std::string D = txnContentDigest(A, T);
@@ -1292,7 +1138,7 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
         Mask[E] = Mask[E] && In;
       }
       AnalysisResult Sub;
-      Run(A, O, std::move(Mask), OraclePtr, AssistPtr, &DL).execute(Sub);
+      Run(A, O, std::move(Mask), OraclePtr, &DL).execute(Sub);
       for (Violation &V : Sub.Violations) {
         bool Dup = false;
         for (const Violation &Old : R.Violations)
@@ -1310,9 +1156,6 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
       R.LayoutsFiltered += Sub.LayoutsFiltered;
       R.SSGEdges += Sub.SSGEdges;
       R.SmtQueries += Sub.SmtQueries;
-      R.SmtQueriesPrefiltered += Sub.SmtQueriesPrefiltered;
-      R.PrefilterUnknowns += Sub.PrefilterUnknowns;
-      R.PrefilterDisagreements += Sub.PrefilterDisagreements;
       R.SSGFlagged += Sub.SSGFlagged;
       R.SMTRefuted += Sub.SMTRefuted;
       R.SMTUnknown += Sub.SMTUnknown;
@@ -1327,25 +1170,20 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
       R.SSGSeconds += Sub.SSGSeconds;
       R.EnumSeconds += Sub.EnumSeconds;
       R.SmtSeconds += Sub.SmtSeconds;
-      R.PrefilterSeconds += Sub.PrefilterSeconds;
       R.ValidateSeconds += Sub.ValidateSeconds;
       R.IncrementalSeconds += Sub.IncrementalSeconds;
     }
     R.Generalized = AllGeneralized;
     R.FastProvedSerializable = AllFast && R.Violations.empty();
   } else {
-    Run(A, O, std::move(Base), OraclePtr, AssistPtr, &DL).execute(R);
+    Run(A, O, std::move(Base), OraclePtr, &DL).execute(R);
   }
 
-  R.PrefilterDisagreements +=
-      AssistDisagreements.load(std::memory_order_relaxed);
   OracleStats OS = OraclePtr ? OraclePtr->stats() : OracleStats{};
   R.CondCacheHits = OS.CondHits;
   R.CondCacheMisses = OS.CondMisses;
   R.SatCacheHits = OS.SatHits;
   R.SatCacheMisses = OS.SatMisses;
-  R.SatAssistProven = OS.SatAssistProven;
-  R.PairVerdictsReused = OS.ImportedHits;
   R.BackendSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
@@ -1399,17 +1237,6 @@ std::string c4::reportStr(const AbstractHistory &A, const AnalysisResult &R) {
               R.UnfoldingsChecked, R.UnfoldingsSubsumed, R.LayoutsFiltered,
               R.SSGFlagged, R.SMTRefuted, R.SMTUnknown, R.SMTRetries,
               R.UnfoldingsDeferred, R.DfsBudgetExhausted, R.BackendSeconds);
-  Out += strf("prefilter: %u quer%s killed, %u fell through, "
-              "%u oracle-assisted verdict(s)%s; %.3fs\n",
-              R.SmtQueriesPrefiltered,
-              R.SmtQueriesPrefiltered == 1 ? "y" : "ies",
-              R.PrefilterUnknowns,
-              static_cast<unsigned>(R.SatAssistProven),
-              R.PrefilterDisagreements
-                  ? strf(", %u DISAGREEMENT(S)", R.PrefilterDisagreements)
-                        .c_str()
-                  : "",
-              R.PrefilterSeconds);
   Out += strf("cache: cond %llu hits / %llu misses, sat %llu hits / "
               "%llu misses; rlimit spent %llu; stages: ssg %.3fs, "
               "enum %.3fs, smt %.3fs\n",
@@ -1421,11 +1248,10 @@ std::string c4::reportStr(const AbstractHistory &A, const AnalysisResult &R) {
               R.SSGSeconds, R.EnumSeconds, R.SmtSeconds);
   // The incremental layers only report when something was actually reused
   // (or attempted): cold runs without a cache keep their baseline report.
-  if (R.TxnFingerprintHits || R.PairVerdictsReused || R.SolverCtxReuses)
-    Out += strf("incremental: %llu txn fingerprint hit(s), %llu pair "
-                "verdict(s) reused, %llu solver ctx reuse(s); %.3fs\n",
+  if (R.TxnFingerprintHits || R.SolverCtxReuses)
+    Out += strf("incremental: %llu txn fingerprint hit(s), %llu solver ctx "
+                "reuse(s); %.3fs\n",
                 static_cast<unsigned long long>(R.TxnFingerprintHits),
-                static_cast<unsigned long long>(R.PairVerdictsReused),
                 static_cast<unsigned long long>(R.SolverCtxReuses),
                 R.IncrementalSeconds);
   (void)A;

@@ -36,7 +36,6 @@
 
 namespace c4 {
 
-class CommutativityOracle;
 class Deadline;
 class IncrementalStore;
 
@@ -80,27 +79,11 @@ struct AnalyzerOptions {
   /// encodings of the run. Identical verdicts either way; disabling it is
   /// for the oracle-equivalence tests and A/B measurements.
   bool UseOracle = true;
-  /// Optional long-lived oracle to use instead of the run's own fresh one.
-  /// The service and the verdict cache share one across requests so
-  /// satisfiability verdicts memoized by earlier analyses (or imported from
-  /// disk) carry over. Ignored when UseOracle is false. Verdicts are
-  /// unaffected either way — entries are pure functions of their keys.
-  CommutativityOracle *ExternalOracle = nullptr;
   /// Optional Z3 environment to reuse for the sequential stages instead of
   /// constructing a fresh one per run (a context costs ~15 ms, noticeable
   /// for a service answering many small requests). The caller guarantees
   /// no concurrent use; per-query name generations keep reuse sound.
   Z3Env *ReuseEnv = nullptr;
-  /// Runs the relational-domain prefilter in front of the SMT stage and
-  /// installs the domain assist on the satisfiability oracle. Verdicts are
-  /// identical either way (the domain only reports *proofs*; anything it
-  /// cannot decide falls through to SMT) — disabling is the
-  /// `--no-prefilter` escape hatch and the A/B measurement baseline.
-  bool UsePrefilter = true;
-  /// Debug mode: every domain-proven verdict is cross-checked against Z3
-  /// and disagreements are counted (PrefilterDisagreements) with Z3
-  /// trusted. Expensive; for CI sweeps and bug triage.
-  bool CheckPrefilter = false;
   /// Master switch for the incremental layers below (`--no-incremental`).
   /// Like NumThreads and UseOracle this is observability-only: the layers
   /// replay verdicts the solver itself proved, so results are identical
@@ -112,8 +95,7 @@ struct AnalyzerOptions {
   /// analysis/Incremental.h). Lookups consult only the immutable base
   /// loaded at run start; fresh records accumulate run-locally, so hits
   /// and misses are deterministic across thread counts. Ignored when
-  /// UseIncremental is false or CheckPrefilter is on (check mode must
-  /// actually solve to detect disagreements).
+  /// UseIncremental is false.
   IncrementalStore *Incremental = nullptr;
   /// §9.1 filters.
   bool DisplayFilter = false;
@@ -160,12 +142,6 @@ struct AnalysisResult {
   unsigned SSGEdges = 0;    ///< edge count of the general SSG (stage 1);
                             ///< summed over atomic-set runs
   unsigned SmtQueries = 0;  ///< solver queries issued (bounded + generalize)
-  unsigned SmtQueriesPrefiltered = 0; ///< queries answered NoCycle by the
-                                      ///< domain prefilter (no Z3 built)
-  unsigned PrefilterUnknowns = 0; ///< prefilter runs that left candidates
-                                  ///< alive (query fell through to SMT)
-  unsigned PrefilterDisagreements = 0; ///< --check-prefilter only: domain
-                                       ///< proofs contradicted by Z3
   unsigned SSGFlagged = 0;  ///< unfoldings whose SSG admitted cycles
   unsigned SMTRefuted = 0;  ///< ... of which the SMT stage refuted
   unsigned SMTUnknown = 0;
@@ -190,15 +166,11 @@ struct AnalysisResult {
   // BackendSeconds (they measure work, not wall time).
   uint64_t CondCacheHits = 0, CondCacheMisses = 0;
   uint64_t SatCacheHits = 0, SatCacheMisses = 0;
-  uint64_t SatAssistProven = 0; ///< oracle sat misses decided by the domain
   // Incremental-layer observability (see analysis/Incremental.h). Like the
   // oracle cache counters these depend on the persisted cache state, not
   // on the program alone.
   uint64_t TxnFingerprintHits = 0; ///< transactions whose content digest
                                    ///< was already in the persisted store
-  uint64_t PairVerdictsReused = 0; ///< oracle sat verdicts answered from
-                                   ///< the imported snapshot (SSG edge and
-                                   ///< commutativity/absorption reuse)
   uint64_t SolverCtxReuses = 0; ///< solver contexts shared instead of
                                 ///< rebuilt (retry re-checks + generalize
                                 ///< chunk reuse)
@@ -207,7 +179,6 @@ struct AnalysisResult {
                           ///< enumeration on instantiated graphs
   double EnumSeconds = 0; ///< unfolding enumeration (incl. layout filter)
   double SmtSeconds = 0;  ///< ϕ_cyclic encoding + solving
-  double PrefilterSeconds = 0; ///< domain prefilter over candidate cycles
   double ValidateSeconds = 0; ///< witness validation, plus the witness
                               ///< rebuild of replayed cycle records
 

@@ -23,7 +23,7 @@ using namespace c4;
 
 namespace {
 
-constexpr const char *SnapshotHeader = "c4-incr-snapshot 2";
+constexpr const char *SnapshotHeader = "c4-incr-snapshot 3";
 
 /// Strict reader of the space-separated integers on one line.
 class Fields {
@@ -254,7 +254,6 @@ std::string c4::incrementalContextDigest(const AbstractHistory &A,
   F.addU64(O.Budget.MaxRetries);
   F.addU64(O.Budget.RlimitCap);
   F.addU64(O.Budget.WallMs);
-  F.addBool(O.UsePrefilter);
   F.addBool(O.DisplayFilter);
   return F.digest();
 }
@@ -312,9 +311,8 @@ std::string IncrementalSnapshot::serialize() const {
   // `n` NoCycle, `c` CycleFound, `w` CycleFound with a witness line next.
   for (const auto &[Key, R] : Records) {
     Out += Key;
-    for (uint64_t V : {uint64_t{R.Prefiltered}, uint64_t{R.PrefilterUnknown},
-                       uint64_t{R.Attempts}, uint64_t{R.CtxReuses},
-                       R.RlimitBudget}) {
+    for (uint64_t V :
+         {uint64_t{R.Attempts}, uint64_t{R.CtxReuses}, R.RlimitBudget}) {
       Out += ' ';
       Out += std::to_string(V);
     }
@@ -376,17 +374,12 @@ IncrementalSnapshot::deserialize(const std::string &B) {
     if (Sp == std::string::npos || Sp == 0)
       return std::nullopt;
     Fields F(L->c_str() + Sp);
-    auto Prefiltered = F.num(0, 1);
-    auto PrefilterUnknown = F.num(0, 1);
     auto Attempts = F.num(0, MaxU32);
     auto CtxReuses = F.num(0, MaxU32);
     auto Budget = F.num(0, LLONG_MAX);
-    if (!Prefiltered || !PrefilterUnknown || !Attempts || !CtxReuses ||
-        !Budget)
+    if (!Attempts || !CtxReuses || !Budget)
       return std::nullopt;
     IncrRecord R;
-    R.Prefiltered = *Prefiltered != 0;
-    R.PrefilterUnknown = *PrefilterUnknown != 0;
     R.Attempts = static_cast<unsigned>(*Attempts);
     R.CtxReuses = static_cast<unsigned>(*CtxReuses);
     R.RlimitBudget = static_cast<uint64_t>(*Budget);

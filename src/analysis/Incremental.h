@@ -22,15 +22,14 @@
 ///    verdict depends on beyond the unfolding's own content: spec revision,
 ///    schema, variable counts, the event mask and every option that shapes
 ///    the ϕ_cyclic query or the statistics it produces (features, solver
-///    budget, prefilter mode). Runs with different contexts never share
-///    records.
+///    budget). Runs with different contexts never share records.
 ///
 ///  * `unfoldingRecordKey` — context + the unfolding's session layout
 ///    (session tag and name-free content digest per instantiated
 ///    transaction, in instantiation order) + the exact candidate set +
 ///    the pipeline stage. Two unfoldings with this key produce the same
-///    solver query and the same prefilter behavior, so an outcome recorded
-///    under it can be replayed, counters included.
+///    solver query, so an outcome recorded under it can be replayed,
+///    counters included.
 ///
 /// Which outcomes are stored. Each ϕ_cyclic query is built from one
 /// unfolding alone (paper §7), so its answer is a function of the key:
@@ -59,8 +58,8 @@
 /// rebuilt witness end to end, so a `Validated` mark never rests on the
 /// record alone.
 ///
-/// Determinism contract (same as the oracle snapshot): lookups consult
-/// only the immutable base snapshot loaded at run start; fresh records are
+/// Determinism contract: lookups consult only the immutable base snapshot
+/// loaded at run start; fresh records are
 /// collected run-locally and merged after the run, so hit/miss counters
 /// are independent of thread count.
 ///
@@ -89,9 +88,6 @@ struct AnalyzerOptions;
 /// itself the record replays the counters the cold run produced, so a warm
 /// run's non-timing statistics match a cold run's.
 struct IncrRecord {
-  bool Prefiltered = false;      ///< the domain prefilter killed every
-                                 ///< candidate; no Z3 query was built
-  bool PrefilterUnknown = false; ///< the prefilter ran but fell through
   unsigned Attempts = 0;         ///< solve attempts of the cold run
   unsigned CtxReuses = 0;        ///< solver-context reuses (retry re-checks)
   uint64_t RlimitBudget = 0;     ///< rlimit budget of the last attempt

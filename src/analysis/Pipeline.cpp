@@ -14,10 +14,6 @@ using namespace c4;
 
 namespace {
 
-std::string oracleKey() {
-  return "oracle-r" + std::to_string(kSpecRevision);
-}
-
 std::string verdictKey(const std::string &Fingerprint) {
   return "verdict-r" + std::to_string(kSpecRevision) + "-" + Fingerprint;
 }
@@ -28,17 +24,7 @@ std::string incrKey() { return "incr-r" + std::to_string(kSpecRevision); }
 
 AnalysisCache::AnalysisCache(const std::string &Dir, bool Incremental)
     : Disk(Dir), Incr(Incremental) {
-  if (!Disk.enabled())
-    return;
-  if (std::optional<std::string> Blob = Disk.get(oracleKey())) {
-    if (std::optional<OracleSnapshot> S = OracleSnapshot::deserialize(*Blob)) {
-      Snapshot = std::move(*S);
-      PersistedSize = Snapshot.size();
-    }
-    // A blob that fails to parse is treated exactly like a missing one: the
-    // snapshot starts empty and the next persist overwrites the slot.
-  }
-  if (!Incr)
+  if (!Disk.enabled() || !Incr)
     return;
   if (std::optional<std::string> Blob = Disk.get(incrKey())) {
     if (std::optional<IncrementalSnapshot> S =
@@ -50,11 +36,6 @@ AnalysisCache::AnalysisCache(const std::string &Dir, bool Incremental)
     // A blob of another snapshot version parses to nullopt and reads as
     // an empty cache; the next persist overwrites it.
   }
-}
-
-size_t AnalysisCache::oracleEntries() {
-  std::lock_guard<std::mutex> Lock(SnapMu);
-  return Snapshot.size();
 }
 
 size_t AnalysisCache::incrRecords() {
@@ -69,13 +50,7 @@ size_t AnalysisCache::incrTxns() {
 
 void AnalysisCache::flush() {
   std::lock_guard<std::mutex> Lock(SnapMu);
-  if (!Disk.enabled())
-    return;
-  if (Snapshot.size() > PersistedSize) {
-    Disk.put(oracleKey(), Snapshot.serialize());
-    PersistedSize = Snapshot.size();
-  }
-  if (!Incr)
+  if (!Disk.enabled() || !Incr)
     return;
   if (IncrSnap.numRecords() > PersistedIncrRecords ||
       IncrSnap.numTxns() > PersistedIncrTxns) {
@@ -83,28 +58,6 @@ void AnalysisCache::flush() {
     PersistedIncrRecords = IncrSnap.numRecords();
     PersistedIncrTxns = IncrSnap.numTxns();
   }
-}
-
-std::string AnalysisCache::exportOracleDelta(size_t &Facts) {
-  std::lock_guard<std::mutex> Lock(SnapMu);
-  OracleSnapshot Delta = Snapshot.deltaSince(ExportedBase);
-  Facts = Delta.size();
-  ExportedBase = Snapshot;
-  return Delta.serialize();
-}
-
-std::optional<size_t> AnalysisCache::importOracleBlob(
-    const std::string &Blob) {
-  std::optional<OracleSnapshot> S = OracleSnapshot::deserialize(Blob);
-  if (!S)
-    return std::nullopt;
-  std::lock_guard<std::mutex> Lock(SnapMu);
-  size_t Before = Snapshot.size();
-  Snapshot.merge(*S);
-  // Imported facts join the export baseline so they are never echoed back
-  // to the sender on the next exportOracleDelta().
-  ExportedBase.merge(*S);
-  return Snapshot.size() - Before;
 }
 
 namespace {
@@ -133,15 +86,14 @@ struct FlightGuard {
 } // namespace
 
 namespace c4 {
-/// Befriended by AnalysisCache: the cold/warm path over its two layers,
+/// Befriended by AnalysisCache: the cold/warm path over its layers,
 /// with per-fingerprint single-flight between them. Concurrent identical
 /// requests elect one leader; everyone else reuses its result (or, on a
 /// disk hit, never enters the flight at all), so a stampede on one
 /// fingerprint costs one backend run.
 struct PipelineRunner {
   static PipelineResult run(const AbstractHistory &A,
-                            const AnalyzerOptions &O, const TypeRegistry &Reg,
-                            AnalysisCache &C) {
+                            const AnalyzerOptions &O, AnalysisCache &C) {
     PipelineResult PR;
     PR.Fingerprint = fingerprintAnalysis(A, O);
 
@@ -183,27 +135,14 @@ struct PipelineRunner {
       C.BackendRuns.fetch_add(1, std::memory_order_relaxed);
       FlightGuard Guard{C.Flights, PR.Fingerprint, F};
 
-      // Cold path with a pre-seeded per-run oracle. The oracle is private
-      // to this run (snapshot entries resolve to *this* program's spec
-      // pointers), so concurrent requests never contend on it.
-      CommutativityOracle Oracle;
-      AnalyzerOptions O2 = O;
-      if (O.UseOracle && !O.ExternalOracle) {
-        {
-          std::lock_guard<std::mutex> Lock(C.SnapMu);
-          PR.OracleImported = Oracle.importSats(C.Snapshot, Reg);
-        }
-        O2.ExternalOracle = &Oracle;
-      }
-
       // Incremental layer: freeze a private copy of the shared snapshot
       // for this run (lookups must see one immutable base — see the
       // determinism contract in analysis/Incremental.h) and hand the
-      // analyzer a store over it. Check-prefilter mode opts out: replayed
-      // verdicts would mask the disagreements it exists to find.
+      // analyzer a store over it.
+      AnalyzerOptions O2 = O;
       std::optional<IncrementalSnapshot> IncrBase;
       std::optional<IncrementalStore> Store;
-      if (C.Incr && O.UseIncremental && !O.CheckPrefilter) {
+      if (C.Incr && O.UseIncremental) {
         {
           std::lock_guard<std::mutex> Lock(C.SnapMu);
           IncrBase = C.IncrSnap;
@@ -213,16 +152,6 @@ struct PipelineRunner {
       }
 
       PR.R = analyze(A, O2);
-
-      // Fold new sat verdicts back and persist the snapshot when it grew.
-      if (O2.ExternalOracle == &Oracle) {
-        std::lock_guard<std::mutex> Lock(C.SnapMu);
-        Oracle.exportSats(C.Snapshot);
-        if (C.Snapshot.size() > C.PersistedSize) {
-          C.Disk.put(oracleKey(), C.Snapshot.serialize());
-          C.PersistedSize = C.Snapshot.size();
-        }
-      }
 
       // Fold the incremental layer back, unless the deadline expired: a
       // wound-down run records only a prefix of its queries, and its txn
@@ -258,14 +187,14 @@ struct PipelineRunner {
 
 PipelineResult c4::analyzeCached(const AbstractHistory &A,
                                  const AnalyzerOptions &O,
-                                 const TypeRegistry &Reg,
+                                 const TypeRegistry & /*Reg*/,
                                  AnalysisCache *Cache) {
   if (!Cache || !Cache->enabled()) {
     PipelineResult PR;
     PR.R = analyze(A, O);
     return PR;
   }
-  return PipelineRunner::run(A, O, Reg, *Cache);
+  return PipelineRunner::run(A, O, *Cache);
 }
 
 std::string c4::renderStatsJson(const StatsJsonFields &F,
@@ -322,17 +251,6 @@ std::string c4::renderStatsJson(const StatsJsonFields &F,
                 R.SMTUnknown);
   Json += Buf;
   std::snprintf(Buf, sizeof(Buf),
-                "  \"smt_queries_prefiltered\": %u,\n"
-                "  \"prefilter_unknowns\": %u,\n"
-                "  \"prefilter_disagreements\": %u,\n"
-                "  \"sat_assist_proven\": %llu,\n"
-                "  \"prefilter_seconds\": %.6f,\n",
-                R.SmtQueriesPrefiltered, R.PrefilterUnknowns,
-                R.PrefilterDisagreements,
-                static_cast<unsigned long long>(R.SatAssistProven),
-                R.PrefilterSeconds);
-  Json += Buf;
-  std::snprintf(Buf, sizeof(Buf),
                 "  \"smt_retries\": %u,\n"
                 "  \"rlimit_spent\": %llu,\n"
                 "  \"deadline_expired\": %s,\n"
@@ -356,13 +274,11 @@ std::string c4::renderStatsJson(const StatsJsonFields &F,
   std::snprintf(Buf, sizeof(Buf),
                 "  \"smt_solves\": %u,\n"
                 "  \"txn_fingerprint_hits\": %llu,\n"
-                "  \"pair_verdicts_reused\": %llu,\n"
                 "  \"solver_ctx_reuses\": %llu,\n"
                 "  \"incremental_seconds\": %.6f,\n"
                 "  \"validate_seconds\": %.6f,\n",
                 R.SmtSolves,
                 static_cast<unsigned long long>(R.TxnFingerprintHits),
-                static_cast<unsigned long long>(R.PairVerdictsReused),
                 static_cast<unsigned long long>(R.SolverCtxReuses),
                 R.IncrementalSeconds, R.ValidateSeconds);
   Json += Buf;

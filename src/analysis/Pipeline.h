@@ -10,21 +10,16 @@
 /// plus the canonical stats-JSON emitter, so both tools speak byte-identical
 /// schemas.
 ///
-/// An `AnalysisCache` wires the two persistence layers together on top of
-/// one DiskCache directory:
-///
-///  * the *oracle layer* — a portable OracleSnapshot of satisfiability
-///    verdicts, accumulated across runs in memory and persisted whenever it
-///    grows. Every cold analysis pre-seeds a fresh per-run oracle from it
-///    (resolved against the program's own TypeRegistry; entries are valid
-///    across programs, see spec/CommutativityCache.h) and folds its new
-///    entries back in afterwards;
+/// An `AnalysisCache` keeps its persistence layers in one DiskCache
+/// directory:
 ///
 ///  * the *verdict layer* — whole-history results keyed by
 ///    `fingerprintAnalysis`. A hit skips the back end entirely and
 ///    rehydrates the cold run's result, statistics included, byte for byte.
+///    A miss reads only its own key: the commutativity oracle lives for one
+///    run (spec/CommutativityCache.h) and nothing of it is persisted.
 ///
-/// In *incremental* mode (`--incremental-cache`) a third layer rides on
+/// In *incremental* mode (`--incremental-cache`) a second layer rides on
 /// the same directory, for the case where the verdict layer misses because
 /// the program was edited:
 ///
@@ -40,8 +35,8 @@
 /// into future runs.
 ///
 /// One AnalysisCache may be shared by concurrent requests (the service
-/// does): DiskCache is internally thread-safe, the snapshot is guarded
-/// here, and per-run oracles are private to their run.
+/// does): DiskCache is internally thread-safe, the incremental snapshot is
+/// guarded here, and per-run oracles are private to their run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +45,6 @@
 
 #include "analysis/Incremental.h"
 #include "analysis/VerdictCache.h"
-#include "spec/CommutativityCache.h"
 #include "support/DiskCache.h"
 #include "support/SingleFlight.h"
 
@@ -62,15 +56,14 @@
 
 namespace c4 {
 
-/// The persistent cross-run cache: one disk directory, two layers (three in
-/// incremental mode).
+/// The persistent cross-run cache: one disk directory, the verdict layer
+/// plus, in incremental mode, the incremental layer.
 class AnalysisCache {
 public:
-  /// Opens (creating if needed) the cache rooted at \p Dir and loads the
-  /// persisted oracle snapshot. A directory that cannot be created leaves
-  /// the cache disabled (analyses still run, uncached). With \p Incremental
-  /// the per-unfolding record snapshot is loaded too and cold runs
-  /// consult/extend it (`--incremental-cache`).
+  /// Opens (creating if needed) the cache rooted at \p Dir. A directory
+  /// that cannot be created leaves the cache disabled (analyses still run,
+  /// uncached). With \p Incremental the per-unfolding record snapshot is
+  /// loaded and cold runs consult/extend it (`--incremental-cache`).
   explicit AnalysisCache(const std::string &Dir, bool Incremental = false);
 
   bool enabled() const { return Disk.enabled(); }
@@ -86,43 +79,21 @@ public:
   /// Requests that waited on another request's in-flight identical
   /// analysis instead of running their own.
   uint64_t flightWaits() const { return FlightWaits.load(); }
-  size_t oracleEntries();
   /// Incremental-layer sizes (0 when not in incremental mode).
   size_t incrRecords();
   size_t incrTxns();
 
-  /// Persists any unwritten oracle snapshot growth. Writes are already
-  /// eager on the cold path, so this is a cheap idempotent safety net the
-  /// serving tier calls during graceful drain.
+  /// Persists any unwritten incremental snapshot growth. Writes are
+  /// already eager on the cold path, so this is a cheap idempotent safety
+  /// net the serving tier calls during graceful drain.
   void flush();
-
-  /// Serializes the oracle facts accumulated since the previous call (or
-  /// everything, on the first call) and advances the export baseline. Facts
-  /// that arrived via importOracleBlob() are part of the baseline and are
-  /// never echoed back. \p Facts receives the number of entries in the
-  /// delta; an empty delta still serializes to a valid (header-only) blob.
-  /// This is the `snapshot_export` op of the sharded serving tier.
-  std::string exportOracleDelta(size_t &Facts);
-
-  /// Merges a serialized snapshot (full or delta) produced by another
-  /// process into this cache's oracle layer; subsequent cold analyses
-  /// pre-seed from the union. Returns the number of *new* facts merged
-  /// (re-importing an echo counts zero), or nullopt when the blob is
-  /// malformed or from a different snapshot version — version skew between
-  /// fleet members must degrade to "no sharing", never to corruption.
-  std::optional<size_t> importOracleBlob(const std::string &Blob);
 
 private:
   friend struct PipelineRunner;
   DiskCache Disk;
   bool Incr = false; ///< incremental layers enabled for this cache
+  // Incremental-mode state, all guarded by SnapMu.
   std::mutex SnapMu;
-  OracleSnapshot Snapshot;  ///< accumulated across runs, guarded by SnapMu
-  size_t PersistedSize = 0; ///< snapshot size at the last disk write
-  /// What exportOracleDelta() has already handed out (plus everything
-  /// imported); the next export ships Snapshot − ExportedBase.
-  OracleSnapshot ExportedBase;
-  // Incremental-mode state, all guarded by SnapMu like the oracle snapshot.
   IncrementalSnapshot IncrSnap; ///< per-unfolding records + txn digests
   size_t PersistedIncrRecords = 0, PersistedIncrTxns = 0;
   std::atomic<uint64_t> VerdictHits{0}, VerdictMisses{0};
@@ -135,12 +106,12 @@ struct PipelineResult {
   AnalysisResult R;
   bool CacheHit = false;     ///< verdict layer hit; R was rehydrated
   std::string Fingerprint;   ///< empty when no cache was configured
-  unsigned OracleImported = 0; ///< sat verdicts pre-seeded on the cold path
+  unsigned OracleImported = 0; ///< always 0; perfbench/loadgen.cpp reads it
 };
 
 /// Runs the analysis through the cache (or plain `analyze()` when \p Cache
-/// is null/disabled). \p Reg must be the registry the history's schema was
-/// built against — the oracle snapshot resolves type names through it.
+/// is null/disabled). \p Reg is unused; perfbench/loadgen.cpp calls this
+/// four-argument form.
 PipelineResult analyzeCached(const AbstractHistory &A,
                              const AnalyzerOptions &O, const TypeRegistry &Reg,
                              AnalysisCache *Cache);

@@ -86,8 +86,8 @@ std::string c4::fingerprintAnalysis(const AbstractHistory &A,
     for (unsigned Y = 0; Y != A.numTxns(); ++Y)
       F.addBool(A.maySo(X, Y));
 
-  // Verdict-affecting options. NumThreads, UseOracle, ExternalOracle,
-  // ReuseEnv, Trace, UseIncremental and the incremental-layer pointers are
+  // Verdict-affecting options. NumThreads, UseOracle, ReuseEnv, Trace,
+  // UseIncremental and the incremental-layer pointers are
   // observability-only and deliberately absent (the incremental layers
   // replay solver-proved verdicts; their reuse counters vary with cache
   // state, like the oracle cache counters, and differential tooling
@@ -108,11 +108,6 @@ std::string c4::fingerprintAnalysis(const AbstractHistory &A,
   F.addU64(O.Budget.WallMs);
   F.addU64(O.DeadlineMs);
   F.addU64(O.LayoutDfsBudget);
-  // The prefilter never changes the verdict, but it changes the persisted
-  // statistics (query counts, prefilter counters), so A/B runs must not
-  // share cache entries.
-  F.addBool(O.UsePrefilter);
-  F.addBool(O.CheckPrefilter);
   F.addBool(O.DisplayFilter);
   F.addBool(O.UseAtomicSets);
   F.addU64(O.AtomicSets.size());
@@ -130,7 +125,7 @@ std::string c4::fingerprintAnalysis(const AbstractHistory &A,
 
 namespace {
 
-constexpr const char *BlobHeader = "c4-verdict 4";
+constexpr const char *BlobHeader = "c4-verdict 5";
 
 /// Newlines and backslashes are the only characters the line-based format
 /// cannot carry verbatim.
@@ -264,11 +259,6 @@ std::string c4::serializeResult(const AnalysisResult &R) {
   addField(Out, "layouts_filtered", std::to_string(R.LayoutsFiltered));
   addField(Out, "ssg_edges", std::to_string(R.SSGEdges));
   addField(Out, "smt_queries", std::to_string(R.SmtQueries));
-  addField(Out, "smt_queries_prefiltered",
-           std::to_string(R.SmtQueriesPrefiltered));
-  addField(Out, "prefilter_unknowns", std::to_string(R.PrefilterUnknowns));
-  addField(Out, "prefilter_disagreements",
-           std::to_string(R.PrefilterDisagreements));
   addField(Out, "ssg_flagged", std::to_string(R.SSGFlagged));
   addField(Out, "smt_refuted", std::to_string(R.SMTRefuted));
   addField(Out, "smt_unknown", std::to_string(R.SMTUnknown));
@@ -284,15 +274,12 @@ std::string c4::serializeResult(const AnalysisResult &R) {
   addField(Out, "cond_cache_misses", std::to_string(R.CondCacheMisses));
   addField(Out, "sat_cache_hits", std::to_string(R.SatCacheHits));
   addField(Out, "sat_cache_misses", std::to_string(R.SatCacheMisses));
-  addField(Out, "sat_assist_proven", std::to_string(R.SatAssistProven));
   addField(Out, "txn_fingerprint_hits", std::to_string(R.TxnFingerprintHits));
-  addField(Out, "pair_verdicts_reused", std::to_string(R.PairVerdictsReused));
   addField(Out, "solver_ctx_reuses", std::to_string(R.SolverCtxReuses));
   addField(Out, "backend_seconds", hexFloat(R.BackendSeconds));
   addField(Out, "ssg_seconds", hexFloat(R.SSGSeconds));
   addField(Out, "enum_seconds", hexFloat(R.EnumSeconds));
   addField(Out, "smt_seconds", hexFloat(R.SmtSeconds));
-  addField(Out, "prefilter_seconds", hexFloat(R.PrefilterSeconds));
   addField(Out, "incremental_seconds", hexFloat(R.IncrementalSeconds));
   addField(Out, "validate_seconds", hexFloat(R.ValidateSeconds));
   addField(Out, "violations", std::to_string(R.Violations.size()));
@@ -327,9 +314,6 @@ std::optional<AnalysisResult> c4::deserializeResult(const std::string &Blob) {
             Rd.u32("layouts_filtered", R.LayoutsFiltered) &&
             Rd.u32("ssg_edges", R.SSGEdges) &&
             Rd.u32("smt_queries", R.SmtQueries) &&
-            Rd.u32("smt_queries_prefiltered", R.SmtQueriesPrefiltered) &&
-            Rd.u32("prefilter_unknowns", R.PrefilterUnknowns) &&
-            Rd.u32("prefilter_disagreements", R.PrefilterDisagreements) &&
             Rd.u32("ssg_flagged", R.SSGFlagged) &&
             Rd.u32("smt_refuted", R.SMTRefuted) &&
             Rd.u32("smt_unknown", R.SMTUnknown) &&
@@ -344,15 +328,12 @@ std::optional<AnalysisResult> c4::deserializeResult(const std::string &Blob) {
             Rd.u64("cond_cache_misses", R.CondCacheMisses) &&
             Rd.u64("sat_cache_hits", R.SatCacheHits) &&
             Rd.u64("sat_cache_misses", R.SatCacheMisses) &&
-            Rd.u64("sat_assist_proven", R.SatAssistProven) &&
             Rd.u64("txn_fingerprint_hits", R.TxnFingerprintHits) &&
-            Rd.u64("pair_verdicts_reused", R.PairVerdictsReused) &&
             Rd.u64("solver_ctx_reuses", R.SolverCtxReuses) &&
             Rd.dbl("backend_seconds", R.BackendSeconds) &&
             Rd.dbl("ssg_seconds", R.SSGSeconds) &&
             Rd.dbl("enum_seconds", R.EnumSeconds) &&
             Rd.dbl("smt_seconds", R.SmtSeconds) &&
-            Rd.dbl("prefilter_seconds", R.PrefilterSeconds) &&
             Rd.dbl("incremental_seconds", R.IncrementalSeconds) &&
             Rd.dbl("validate_seconds", R.ValidateSeconds) &&
             Rd.u32("violations", NumViolations) &&

@@ -6,8 +6,7 @@
 ///
 /// \file
 /// Content-addressed persistence of whole-history analysis results: the
-/// second layer of the cross-run cache (the first is the portable oracle
-/// snapshot, spec/CommutativityCache.h).
+/// verdict layer of the cross-run cache (analysis/Pipeline.h).
 ///
 /// The cache key is `fingerprintAnalysis(A, O)`: a stable digest of every
 /// input the verdict depends on — the schema (container and type names, op

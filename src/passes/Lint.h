@@ -23,13 +23,7 @@
 ///   C4L-W005  redundant operation: an update is provably absorbed by a
 ///             later update of the same transaction (far absorption) and
 ///             was eliminated by the reduction pipeline.
-///   C4L-W006  statically unsatisfiable condition: the relational abstract
-///             domain (src/domain) proves an event-order guard of the
-///             compiled transaction unsatisfiable under the transaction's
-///             own facts, so the guarded code can never execute. Catches
-///             relational contradictions (e.g. comparing a value against
-///             itself, or against a fresh unique identity) that the
-///             unary guard dataflow behind C4L-W003 cannot see.
+///   C4L-W006  retired; the ID is not reused.
 ///
 /// Suppression: a source line carrying (or immediately preceded by a line
 /// carrying) a `c4l-allow` comment suppresses warnings reported for that

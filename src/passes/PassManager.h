@@ -43,7 +43,6 @@
 
 namespace c4 {
 
-class AbstractHistory;
 struct CompiledProgram;
 struct ProgramAST;
 
@@ -95,7 +94,6 @@ std::unique_ptr<ProgramAST> cloneAST(const ProgramAST &AST);
 /// creator event of the same transaction to AbsFact::FreshVar. Returns the
 /// number of promoted slots.
 unsigned promoteFreshFacts(CompiledProgram &P);
-unsigned promoteFreshFacts(AbstractHistory &H);
 
 } // namespace c4
 

@@ -11,7 +11,6 @@
 
 #include "passes/PassManager.h"
 
-#include "domain/AbstractDomain.h"
 #include "frontend/Frontend.h"
 #include "passes/CFG.h"
 #include "passes/Dataflow.h"
@@ -676,45 +675,6 @@ void programLints(const ProgramAST &AST, const Schema &Sch,
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Compiled-history lint (W006)
-//===----------------------------------------------------------------------===//
-
-/// W006: event-order guards the relational abstract domain proves
-/// unsatisfiable. Runs over the compiled history, after the front end has
-/// resolved names to per-slot facts, so it sees relational contradictions
-/// (same symbol on both sides of a strict comparison, constants against
-/// fresh unique identities) that the unary AST dataflow behind W003 cannot
-/// express. A ProvenUnsat answer is a real proof — the domain never claims
-/// bottom after an overflow — so every report here is a true positive.
-void unsatGuardLints(const AbstractHistory &H, const ProgramAST *AST,
-                     std::vector<LintDiagnostic> &Out) {
-  auto TxnLine = [&](const std::string &Name) -> unsigned {
-    if (AST)
-      for (const TxnDecl &T : AST->Txns)
-        if (T.Name == Name)
-          return T.Line;
-    return 1;
-  };
-  for (unsigned T = 0; T != H.numTxns(); ++T) {
-    const AbstractTxn &Txn = H.txn(T);
-    for (const AbstractConstraint &E : Txn.Eo) {
-      if (E.C.isTrue())
-        continue;
-      // Both endpoints belong to one transaction instance, so their local
-      // variables resolve in the same session: one shared tag.
-      EventFacts Src = H.resolveFacts(E.Src, /*SessionTag=*/0);
-      EventFacts Tgt = H.resolveFacts(E.Tgt, /*SessionTag=*/0);
-      if (domainDecide(E.C, Src, Tgt) == DomainVerdict::ProvenUnsat)
-        Out.push_back({"C4L-W006", TxnLine(Txn.Name), Txn.Name,
-                       "guard '" + E.C.str() + "' on the edge " +
-                           H.eventStr(E.Src) + " -> " + H.eventStr(E.Tgt) +
-                           " is statically unsatisfiable; the guarded "
-                           "code can never execute"});
-    }
-  }
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -722,10 +682,7 @@ void unsatGuardLints(const AbstractHistory &H, const ProgramAST *AST,
 //===----------------------------------------------------------------------===//
 
 unsigned c4::promoteFreshFacts(CompiledProgram &P) {
-  return promoteFreshFacts(*P.History);
-}
-
-unsigned c4::promoteFreshFacts(AbstractHistory &H) {
+  AbstractHistory &H = *P.History;
   unsigned Count = 0;
   for (unsigned T = 0; T != H.numTxns(); ++T) {
     const AbstractTxn &Txn = H.txn(T);
@@ -911,16 +868,6 @@ PassResult c4::runPasses(CompiledProgram &P, const PassOptions &Opts,
 
   if (Opts.Reduce && Opts.UniqueValues)
     R.Stats.FreshPromotions = promoteFreshFacts(P);
-
-  if (Opts.Lint) {
-    // W006 wants fresh-identity facts, which only exist after promotion;
-    // promote a scratch copy so `--no-passes --lint` still sees them
-    // without the reduction pipeline mutating the analyzed history.
-    AbstractHistory Scratch = *P.History;
-    if (Opts.UniqueValues)
-      promoteFreshFacts(Scratch);
-    unsatGuardLints(Scratch, P.AST.get(), R.Lints);
-  }
 
   R.Stats.EventsAfter = P.History->numStoreEvents();
   sortLints(R.Lints);

@@ -263,9 +263,8 @@ z3::expr UnfoldingEncoder::edgeFormula(unsigned TS, unsigned TT,
       R = TxnPresent[TS] && TxnPresent[TT];
     return R;
   }
-  // The event pairs that can realize the edge come from the shared
-  // enumeration the domain prefilter also uses (ssg/SSG.h), so the two
-  // stages agree on the disjuncts by construction.
+  // The event pairs that can realize the edge come from the SSG layer's
+  // enumeration (ssg/SSG.h).
   for (const DepPairAlt &P : depPairAlternatives(A, TS, TT, Label, F)) {
     z3::expr NotCom = notComZ3(P.EU, P.EQ, P.Mode);
     if (NotCom.is_false())

@@ -20,13 +20,12 @@ std::string QueryTrace::toJsonl() const {
     Out += strf("{\"seq\":%zu,\"stage\":\"%s\",\"k\":%u,\"unfolding\":%ld,"
                 "\"attempts\":%u,\"retries\":%u,\"rlimit_budget\":%llu,"
                 "\"rlimit_spent\":%llu,\"outcome\":\"%s\","
-                "\"prefiltered\":%s,\"reused\":%s,\"wall_ms\":%.3f}\n",
+                "\"reused\":%s,\"wall_ms\":%.3f}\n",
                 I, R.Stage, R.K, R.Unfolding, R.Attempts,
                 R.Attempts ? R.Attempts - 1 : 0,
                 static_cast<unsigned long long>(R.RlimitBudget),
                 static_cast<unsigned long long>(R.RlimitSpent), R.Outcome,
-                R.Prefiltered ? "true" : "false", R.Reused ? "true" : "false",
-                R.WallMs);
+                R.Reused ? "true" : "false", R.WallMs);
   }
   return Out;
 }

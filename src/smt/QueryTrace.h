@@ -44,8 +44,7 @@ struct QueryRecord {
   uint64_t RlimitSpent = 0;
   /// "cycle", "no-cycle", "unknown" or "error".
   const char *Outcome = "unknown";
-  /// The verdict came from the domain prefilter; no Z3 query was built
-  /// (Attempts is 0 for such records).
+  /// Always false; kept only because perfbench/loadgen.cpp reads it.
   bool Prefiltered = false;
   /// The outcome was replayed from a persisted incremental record without
   /// reaching Z3. Attempts replays the recording run's count; WallMs is

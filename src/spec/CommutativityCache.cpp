@@ -6,67 +6,10 @@
 
 #include "spec/CommutativityCache.h"
 
-#include <cstdlib>
 #include <mutex>
 #include <shared_mutex>
 
 using namespace c4;
-
-namespace {
-
-/// Snapshot blob header. The version is independent of the DiskCache entry
-/// format (which frames and checksums the blob); it covers the *textual*
-/// key encoding below.
-constexpr const char *SnapshotHeader = "c4-oracle-snapshot 2";
-
-/// Renders one fact vector as `kind.value.symbol` triples joined by ','.
-void renderFacts(std::string &Out, const EventFacts &F) {
-  for (size_t I = 0; I != F.size(); ++I) {
-    if (I)
-      Out += ',';
-    Out += std::to_string(static_cast<unsigned>(F[I].Kind));
-    Out += '.';
-    Out += std::to_string(static_cast<long long>(F[I].Value));
-    Out += '.';
-    Out += std::to_string(F[I].Symbol);
-  }
-}
-
-bool parseFacts(const std::string &S, EventFacts &Out) {
-  Out.clear();
-  if (S.empty())
-    return true;
-  size_t Pos = 0;
-  while (true) {
-    size_t End = S.find(',', Pos);
-    std::string Item =
-        S.substr(Pos, End == std::string::npos ? End : End - Pos);
-    size_t D1 = Item.find('.');
-    size_t D2 = D1 == std::string::npos ? D1 : Item.find('.', D1 + 1);
-    if (D2 == std::string::npos)
-      return false;
-    char *E1 = nullptr, *E2 = nullptr, *E3 = nullptr;
-    std::string KindS = Item.substr(0, D1);
-    std::string ValS = Item.substr(D1 + 1, D2 - D1 - 1);
-    std::string SymS = Item.substr(D2 + 1);
-    unsigned long Kind = std::strtoul(KindS.c_str(), &E1, 10);
-    long long Val = std::strtoll(ValS.c_str(), &E2, 10);
-    unsigned long Sym = std::strtoul(SymS.c_str(), &E3, 10);
-    if (!E1 || *E1 || !E2 || *E2 || !E3 || *E3 ||
-        Kind > ArgFact::Unique)
-      return false;
-    ArgFact F;
-    F.Kind = static_cast<ArgFact::KindTy>(Kind);
-    F.Value = Val;
-    F.Symbol = static_cast<unsigned>(Sym);
-    Out.push_back(F);
-    if (End == std::string::npos)
-      return true;
-    Pos = End + 1;
-  }
-}
-
-} // namespace
 
 static size_t hashCombine(size_t Seed, size_t V) {
   // Boost-style mix; good enough for cache keys.
@@ -82,7 +25,7 @@ size_t CommutativityOracle::CondKeyHash::operator()(const CondKey &K) const {
 }
 
 bool CommutativityOracle::SatKey::operator==(const SatKey &O) const {
-  if (!(CK == O.CK) || Assist != O.Assist || Src.size() != O.Src.size() ||
+  if (!(CK == O.CK) || Src.size() != O.Src.size() ||
       Tgt.size() != O.Tgt.size())
     return false;
   auto FactsEq = [](const EventFacts &X, const EventFacts &Y) {
@@ -97,7 +40,6 @@ bool CommutativityOracle::SatKey::operator==(const SatKey &O) const {
 
 size_t CommutativityOracle::SatKeyHash::operator()(const SatKey &K) const {
   size_t H = CondKeyHash()(K.CK);
-  H = hashCombine(H, static_cast<size_t>(K.Assist));
   auto MixFacts = [&H](const EventFacts &F) {
     H = hashCombine(H, F.size());
     for (const ArgFact &A : F) {
@@ -182,167 +124,33 @@ const Cond &CommutativityOracle::notAbsorbs(const DataTypeSpec &Type,
 }
 
 bool CommutativityOracle::satisfiable(CondKey K, const EventFacts &Src,
-                                      const EventFacts &Tgt,
-                                      const SatAssist *Assist) {
-  bool HaveAssist = Assist && *Assist;
-  SatKey SK{K, Src, Tgt, HaveAssist};
+                                      const EventFacts &Tgt) {
+  SatKey SK{K, Src, Tgt};
   {
     std::shared_lock<std::shared_mutex> Lock(SatMu);
     auto It = Sats.find(SK);
     if (It != Sats.end()) {
       SatHits.fetch_add(1, std::memory_order_relaxed);
-      if (It->second.Imported)
-        ImportedHits.fetch_add(1, std::memory_order_relaxed);
-      return It->second.Sat;
+      return It->second;
     }
   }
   SatMisses.fetch_add(1, std::memory_order_relaxed);
-  const Cond &C = condFor(K);
-  bool Verdict;
-  AssistVerdict AV =
-      HaveAssist ? (*Assist)(C, Src, Tgt) : AssistVerdict::Unknown;
-  if (AV != AssistVerdict::Unknown) {
-    SatAssistProven.fetch_add(1, std::memory_order_relaxed);
-    Verdict = AV == AssistVerdict::Sat;
-  } else {
-    Verdict = C.satisfiableUnder(Src, Tgt);
-  }
+  bool Verdict = condFor(K).satisfiableUnder(Src, Tgt);
   std::unique_lock<std::shared_mutex> Lock(SatMu);
-  return Sats.try_emplace(std::move(SK), SatVal{Verdict, /*Imported=*/false})
-      .first->second.Sat;
+  return Sats.try_emplace(std::move(SK), Verdict).first->second;
 }
 
 bool CommutativityOracle::notCommutesSatisfiable(
     const DataTypeSpec &Type, unsigned A, unsigned B, CommuteMode Mode,
-    const EventFacts &Src, const EventFacts &Tgt, const SatAssist *Assist) {
-  return satisfiable({&Type, A, B, notComSel(Mode)}, Src, Tgt, Assist);
+    const EventFacts &Src, const EventFacts &Tgt) {
+  return satisfiable({&Type, A, B, notComSel(Mode)}, Src, Tgt);
 }
 
 bool CommutativityOracle::notAbsorbsSatisfiable(
     const DataTypeSpec &Type, unsigned A, unsigned B, bool Far,
-    const EventFacts &Src, const EventFacts &Tgt, const SatAssist *Assist) {
+    const EventFacts &Src, const EventFacts &Tgt) {
   return satisfiable({&Type, A, B, Far ? CondSel::NotAbsFar : CondSel::NotAbsPlain},
-                     Src, Tgt, Assist);
-}
-
-void OracleSnapshot::merge(const OracleSnapshot &O) {
-  for (const auto &[K, V] : O.Entries)
-    Entries.emplace(K, V);
-}
-
-OracleSnapshot OracleSnapshot::deltaSince(const OracleSnapshot &Base) const {
-  OracleSnapshot Delta;
-  // Both maps are sorted; walk them in lockstep.
-  auto It = Entries.begin(), BIt = Base.Entries.begin();
-  while (It != Entries.end()) {
-    if (BIt == Base.Entries.end() || It->first < BIt->first) {
-      Delta.Entries.emplace_hint(Delta.Entries.end(), It->first, It->second);
-      ++It;
-    } else if (BIt->first < It->first) {
-      ++BIt;
-    } else {
-      ++It;
-      ++BIt;
-    }
-  }
-  return Delta;
-}
-
-std::string OracleSnapshot::serialize() const {
-  std::string Out = SnapshotHeader;
-  Out += '\n';
-  for (const auto &[K, V] : Entries) {
-    Out += V ? '+' : '-';
-    Out += K;
-    Out += '\n';
-  }
-  return Out;
-}
-
-std::optional<OracleSnapshot> OracleSnapshot::deserialize(
-    const std::string &Blob) {
-  size_t Nl = Blob.find('\n');
-  if (Nl == std::string::npos || Blob.substr(0, Nl) != SnapshotHeader)
-    return std::nullopt;
-  OracleSnapshot S;
-  size_t Pos = Nl + 1;
-  while (Pos < Blob.size()) {
-    size_t End = Blob.find('\n', Pos);
-    if (End == std::string::npos)
-      return std::nullopt; // truncated final line
-    if (End == Pos)
-      return std::nullopt; // empty line: not something serialize() emits
-    char Verdict = Blob[Pos];
-    if (Verdict != '+' && Verdict != '-')
-      return std::nullopt;
-    S.Entries.emplace(Blob.substr(Pos + 1, End - Pos - 1), Verdict == '+');
-    Pos = End + 1;
-  }
-  return S;
-}
-
-void CommutativityOracle::exportSats(OracleSnapshot &Out) const {
-  std::shared_lock<std::shared_mutex> Lock(SatMu);
-  for (const auto &[K, Val] : Sats) {
-    std::string Key = K.CK.Type->name();
-    Key += '|';
-    Key += std::to_string(K.CK.A);
-    Key += '|';
-    Key += std::to_string(K.CK.B);
-    Key += '|';
-    Key += std::to_string(static_cast<unsigned>(K.CK.Sel));
-    Key += '|';
-    Key += K.Assist ? '1' : '0';
-    Key += '|';
-    renderFacts(Key, K.Src);
-    Key += '|';
-    renderFacts(Key, K.Tgt);
-    Out.Entries.emplace(std::move(Key), Val.Sat);
-  }
-}
-
-unsigned CommutativityOracle::importSats(const OracleSnapshot &S,
-                                         const TypeRegistry &Reg) {
-  unsigned Imported = 0;
-  std::unique_lock<std::shared_mutex> Lock(SatMu);
-  for (const auto &[Key, Verdict] : S.Entries) {
-    // Split `type|A|B|sel|assist|srcfacts|tgtfacts`.
-    size_t P1 = Key.find('|');
-    size_t P2 = P1 == std::string::npos ? P1 : Key.find('|', P1 + 1);
-    size_t P3 = P2 == std::string::npos ? P2 : Key.find('|', P2 + 1);
-    size_t P4 = P3 == std::string::npos ? P3 : Key.find('|', P3 + 1);
-    size_t P5 = P4 == std::string::npos ? P4 : Key.find('|', P4 + 1);
-    size_t P6 = P5 == std::string::npos ? P5 : Key.find('|', P5 + 1);
-    if (P6 == std::string::npos)
-      continue;
-    const DataTypeSpec *Type = Reg.lookup(Key.substr(0, P1));
-    if (!Type)
-      continue; // snapshot from a registry with extra custom types
-    char *EA = nullptr, *EB = nullptr, *ES = nullptr;
-    std::string AS = Key.substr(P1 + 1, P2 - P1 - 1);
-    std::string BS = Key.substr(P2 + 1, P3 - P2 - 1);
-    std::string SelS = Key.substr(P3 + 1, P4 - P3 - 1);
-    std::string AssistS = Key.substr(P4 + 1, P5 - P4 - 1);
-    unsigned long A = std::strtoul(AS.c_str(), &EA, 10);
-    unsigned long B = std::strtoul(BS.c_str(), &EB, 10);
-    unsigned long Sel = std::strtoul(SelS.c_str(), &ES, 10);
-    if (!EA || *EA || !EB || *EB || !ES || *ES ||
-        Sel > static_cast<unsigned long>(CondSel::NotAbsFar) ||
-        A >= Type->ops().size() || B >= Type->ops().size() ||
-        (AssistS != "0" && AssistS != "1"))
-      continue;
-    SatKey SK;
-    SK.CK = {Type, static_cast<unsigned>(A), static_cast<unsigned>(B),
-             static_cast<CondSel>(Sel)};
-    SK.Assist = AssistS == "1";
-    if (!parseFacts(Key.substr(P5 + 1, P6 - P5 - 1), SK.Src) ||
-        !parseFacts(Key.substr(P6 + 1), SK.Tgt))
-      continue;
-    if (Sats.try_emplace(std::move(SK), SatVal{Verdict, /*Imported=*/true})
-            .second)
-      ++Imported;
-  }
-  return Imported;
+                     Src, Tgt);
 }
 
 OracleStats CommutativityOracle::stats() const {
@@ -351,7 +159,5 @@ OracleStats CommutativityOracle::stats() const {
   S.CondMisses = CondMisses.load(std::memory_order_relaxed);
   S.SatHits = SatHits.load(std::memory_order_relaxed);
   S.SatMisses = SatMisses.load(std::memory_order_relaxed);
-  S.SatAssistProven = SatAssistProven.load(std::memory_order_relaxed);
-  S.ImportedHits = ImportedHits.load(std::memory_order_relaxed);
   return S;
 }

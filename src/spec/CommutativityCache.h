@@ -18,11 +18,12 @@
 ///     resolved argument-fact vectors. The verdict depends only on the
 ///     condition and the two fact vectors (congruence closure sees symbol
 ///     *identities*, never their origin), so it is keyed by
-///     `(cond key, source facts, target facts)` and valid across abstract
-///     histories, unfoldings and merges alike.
+///     `(cond key, source facts, target facts)` and valid across the run's
+///     abstract histories, unfoldings and merges alike.
 ///
 /// One oracle is constructed per `analyze()` call and threaded through the
-/// SSG builder, the bounded-check loop and the SMT encoder.
+/// SSG builder, the bounded-check loop and the SMT encoder; it lives for
+/// that one run.
 ///
 /// Thread-safety contract: all lookup methods may be called concurrently
 /// (the parallel bounded check shares one oracle across workers). Lookups
@@ -42,11 +43,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <optional>
 #include <shared_mutex>
-#include <string>
 #include <unordered_map>
 
 namespace c4 {
@@ -57,76 +54,6 @@ struct OracleStats {
   uint64_t CondMisses = 0;
   uint64_t SatHits = 0;
   uint64_t SatMisses = 0;
-  /// Satisfiability misses decided by the assist callback (no congruence
-  /// fallback needed). Subset of SatMisses.
-  uint64_t SatAssistProven = 0;
-  /// Hits whose entry came from an imported snapshot rather than being
-  /// computed this run — persisted pair verdicts (commutativity /
-  /// absorption satisfiability, the inputs of every SSG edge) actually
-  /// reused. Subset of SatHits.
-  uint64_t ImportedHits = 0;
-};
-
-/// Verdict of an external satisfiability assist (see SatAssist).
-enum class AssistVerdict : uint8_t { Sat, Unsat, Unknown };
-
-/// An optional decision procedure the analyzer may plug into the oracle's
-/// satisfiability path. On a cache miss the oracle first consults the
-/// assist; a definite Sat/Unsat verdict is cached as-is, Unknown falls back
-/// to the built-in DNF + congruence-closure check. A definite verdict must
-/// be a *proof* about the condition's concretizations under the given fact
-/// vectors (Unsat: none satisfies it; Sat: a witness exists) — typically
-/// the assist decides strictly more structure than congruence closure
-/// (ordering atoms, fresh-value bounds), so it may answer Unsat where the
-/// fallback conservatively answers sat. Verdicts are cached and persisted;
-/// the assist must be safe to call concurrently. Declared here as a
-/// std::function so the spec layer stays independent of whichever domain
-/// implements it.
-using SatAssist =
-    std::function<AssistVerdict(const Cond &, const EventFacts &,
-                                const EventFacts &)>;
-
-/// A portable image of an oracle's satisfiability table, the unit of
-/// cross-run cache persistence. In-memory oracle keys hold `DataTypeSpec`
-/// pointers, which are meaningless outside the owning process (every
-/// compiled program carries its own `TypeRegistry`); a snapshot flattens
-/// each key into a stable textual form — type *name*, op indices, condition
-/// selector and the two resolved fact vectors — so entries can be written
-/// to disk and rehydrated into any process whose registry knows the same
-/// type names. Verdict reuse across programs is sound because
-/// `satisfiableUnder` sees only symbol identities and constants, never
-/// which history produced the facts (see the oracle's file comment).
-///
-/// Entries are kept sorted (std::map), so `serialize()` is deterministic:
-/// equal snapshots produce byte-equal blobs.
-class OracleSnapshot {
-public:
-  size_t size() const { return Entries.size(); }
-  bool empty() const { return Entries.empty(); }
-
-  /// Union with \p O. On a key collision both sides hold the same verdict
-  /// (entries are pure functions of the key); the existing one is kept.
-  void merge(const OracleSnapshot &O);
-
-  /// The entries present here but absent from \p Base — the unit of
-  /// incremental snapshot exchange between serving processes: a worker
-  /// exports `deltaSince(last export)` instead of its full table, and a
-  /// router broadcasts `deltaSince(what the peer already has)`. Keys are
-  /// never removed from a snapshot, so `Base.merge(deltaSince(Base))`
-  /// reconstructs the full union.
-  OracleSnapshot deltaSince(const OracleSnapshot &Base) const;
-
-  /// Versioned text serialization (one entry per line, sorted).
-  std::string serialize() const;
-
-  /// Parses a blob produced by serialize(). Returns nullopt on a malformed
-  /// or version-mismatched blob — callers treat that as an empty cache.
-  static std::optional<OracleSnapshot> deserialize(const std::string &Blob);
-
-private:
-  friend class CommutativityOracle;
-  /// Stable textual sat-key → verdict.
-  std::map<std::string, bool> Entries;
 };
 
 /// Memoizes rewrite-spec conditions and their satisfiability verdicts. See
@@ -152,33 +79,16 @@ public:
   /// Memoized `notCommutes(...).satisfiableUnder(Src, Tgt)`. The caller is
   /// expected to have short-circuited the constant-false case via
   /// notCommutes() (the verdict is still correct without, just slower).
-  /// \p Assist, when non-null and non-empty, is consulted first on a cache
-  /// miss (see SatAssist). Assisted and unassisted verdicts are cached under
-  /// distinct keys: the assist decides strictly more ordering structure, so
-  /// mixing them would make results depend on call order.
   bool notCommutesSatisfiable(const DataTypeSpec &Type, unsigned A,
                               unsigned B, CommuteMode Mode,
-                              const EventFacts &Src, const EventFacts &Tgt,
-                              const SatAssist *Assist = nullptr);
+                              const EventFacts &Src, const EventFacts &Tgt);
 
   /// Memoized `notAbsorbs(...).satisfiableUnder(Src, Tgt)`.
   bool notAbsorbsSatisfiable(const DataTypeSpec &Type, unsigned A, unsigned B,
                              bool Far, const EventFacts &Src,
-                             const EventFacts &Tgt,
-                             const SatAssist *Assist = nullptr);
+                             const EventFacts &Tgt);
 
   OracleStats stats() const;
-
-  /// Flattens the satisfiability table into \p Out (merging with whatever
-  /// \p Out already holds). Thread-safe; takes the sat lock shared.
-  void exportSats(OracleSnapshot &Out) const;
-
-  /// Pre-seeds the satisfiability table from \p S, resolving type names
-  /// against \p Reg. Entries naming unknown types are skipped; returns the
-  /// number imported. Hit/miss counters are untouched — imported entries
-  /// count as hits when the analysis actually reaches them. Call before
-  /// the oracle is shared with workers (takes the sat lock exclusively).
-  unsigned importSats(const OracleSnapshot &S, const TypeRegistry &Reg);
 
 private:
   /// Which derived condition of the pair is meant. Values double as part of
@@ -210,37 +120,23 @@ private:
     CondKey CK;
     EventFacts Src;
     EventFacts Tgt;
-    /// Whether the verdict was produced with an assist installed. Assisted
-    /// runs can prove more conjunctions unsatisfiable, so the two verdict
-    /// families live under distinct keys (and snapshot entries).
-    bool Assist = false;
     bool operator==(const SatKey &O) const;
   };
   struct SatKeyHash {
     size_t operator()(const SatKey &K) const;
   };
 
-  /// A cached satisfiability verdict, tagged with whether it was imported
-  /// from a snapshot (for the ImportedHits / pair_verdicts_reused stat).
-  struct SatVal {
-    bool Sat;
-    bool Imported;
-  };
-
   static CondSel notComSel(CommuteMode Mode);
   const Cond &condFor(CondKey K);
-  bool satisfiable(CondKey K, const EventFacts &Src, const EventFacts &Tgt,
-                   const SatAssist *Assist);
+  bool satisfiable(CondKey K, const EventFacts &Src, const EventFacts &Tgt);
 
   mutable std::shared_mutex CondMu;
   std::unordered_map<CondKey, Cond, CondKeyHash> Conds;
   mutable std::shared_mutex SatMu;
-  std::unordered_map<SatKey, SatVal, SatKeyHash> Sats;
+  std::unordered_map<SatKey, bool, SatKeyHash> Sats;
 
   std::atomic<uint64_t> CondHits{0}, CondMisses{0};
   std::atomic<uint64_t> SatHits{0}, SatMisses{0};
-  std::atomic<uint64_t> SatAssistProven{0};
-  std::atomic<uint64_t> ImportedHits{0};
 };
 
 } // namespace c4

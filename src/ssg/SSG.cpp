@@ -64,20 +64,13 @@ bool SSG::mayInterfere(unsigned E, unsigned F, CommuteMode Mode) const {
       return true;
     return Oracle->notCommutesSatisfiable(Type, AE.Op, AF.Op, Mode,
                                           factsFor(E, /*SourceSide=*/true),
-                                          factsFor(F, /*SourceSide=*/false),
-                                          Assist);
+                                          factsFor(F, /*SourceSide=*/false));
   }
   Cond NotCom = !commutesCond(Type, AE.Op, AF.Op, Mode);
   if (NotCom.isFalse())
     return false;
-  EventFacts SrcF = factsFor(E, /*SourceSide=*/true);
-  EventFacts TgtF = factsFor(F, /*SourceSide=*/false);
-  if (Assist && *Assist) {
-    AssistVerdict AV = (*Assist)(NotCom, SrcF, TgtF);
-    if (AV != AssistVerdict::Unknown)
-      return AV == AssistVerdict::Sat;
-  }
-  return NotCom.satisfiableUnder(SrcF, TgtF);
+  return NotCom.satisfiableUnder(factsFor(E, /*SourceSide=*/true),
+                                 factsFor(F, /*SourceSide=*/false));
 }
 
 bool SSG::mayNotAbsorb(unsigned U, unsigned V) const {
@@ -96,22 +89,15 @@ bool SSG::mayNotAbsorb(unsigned U, unsigned V) const {
       return true;
     return Oracle->notAbsorbsSatisfiable(Type, AU.Op, AV.Op, /*Far=*/true,
                                          factsFor(U, /*SourceSide=*/true),
-                                         factsFor(V, /*SourceSide=*/false),
-                                         Assist);
+                                         factsFor(V, /*SourceSide=*/false));
   }
   Cond NotAbs = !absorbsCond(Type, AU.Op, AV.Op, /*Far=*/true);
   if (NotAbs.isFalse())
     return false;
   if (NotAbs.isTrue())
     return true;
-  EventFacts SrcF = factsFor(U, /*SourceSide=*/true);
-  EventFacts TgtF = factsFor(V, /*SourceSide=*/false);
-  if (Assist && *Assist) {
-    AssistVerdict AV2 = (*Assist)(NotAbs, SrcF, TgtF);
-    if (AV2 != AssistVerdict::Unknown)
-      return AV2 == AssistVerdict::Sat;
-  }
-  return NotAbs.satisfiableUnder(SrcF, TgtF);
+  return NotAbs.satisfiableUnder(factsFor(U, /*SourceSide=*/true),
+                                 factsFor(V, /*SourceSide=*/false));
 }
 
 std::vector<DepPairAlt> c4::depPairAlternatives(const AbstractHistory &A,

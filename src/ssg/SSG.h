@@ -76,9 +76,7 @@ struct DepPairAlt {
 /// Enumerates the event-pair alternatives of the edge (\p TS, \p TT,
 /// \p Label): exactly the disjuncts the SMT encoder's edge formula ranges
 /// over, in the same order. DepSO yields no pairs (it is a pure presence
-/// edge; callers test session order themselves). Both the encoder and the
-/// domain prefilter consume this, so the two stages can never drift apart
-/// on which pairs realize an edge.
+/// edge; callers test session order themselves).
 std::vector<DepPairAlt> depPairAlternatives(const AbstractHistory &A,
                                             unsigned TS, unsigned TT,
                                             int Label,
@@ -103,13 +101,6 @@ public:
   /// is computed from scratch (identical verdicts, more work). The oracle
   /// must outlive this SSG; it may be shared across SSGs and threads.
   void setOracle(CommutativityOracle *O) { Oracle = O; }
-
-  /// Installs an optional satisfiability assist (see SatAssist): a sound
-  /// decision procedure strengthening the edge-satisfiability tests with
-  /// ordering and fresh-value structure. Consulted both through the oracle
-  /// (distinct cache keys) and on the oracle-free path, so verdicts agree
-  /// either way. The callback must outlive this SSG.
-  void setSatAssist(const SatAssist *A) { Assist = A; }
 
   /// Builds the graph and runs the Theorem 3 checks.
   void analyze();
@@ -160,7 +151,6 @@ private:
   const AbstractHistory &A;
   AnalysisFeatures Features;
   CommutativityOracle *Oracle = nullptr;
-  const SatAssist *Assist = nullptr;
   std::optional<std::vector<unsigned>> SessionTags; // instantiated mode
   std::vector<bool> EventMask;
   Digraph Graph;

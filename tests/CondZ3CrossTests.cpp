@@ -10,15 +10,20 @@
 /// thousands of random conditions and fact environments. The engine must
 /// be *sound* (never claim unsat when Z3 finds a model under the same
 /// facts) and, on equality-only conditions, *complete* (agree exactly).
+/// The Z3 reference below encodes the full fact semantics, unique fresh
+/// identities included.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "domain/AbstractDomain.h"
-#include "smt/CondSmt.h"
 #include "spec/Cond.h"
 #include "support/Rng.h"
 
 #include <z3++.h>
+
+#include <functional>
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -72,29 +77,119 @@ EventFacts randFacts(Rng &R) {
   return F;
 }
 
-/// Decides satisfiability with Z3.
+/// Term generator for the unique-fact trials: four slots per side, and
+/// constants straddling FreshValueMin so the unique-identity lower bound is
+/// exercised from both directions.
+Term randTermU(Rng &R) {
+  switch (R.below(4)) {
+  case 0:
+    return Term::argSrc(static_cast<unsigned>(R.below(4)));
+  case 1:
+    return Term::argTgt(static_cast<unsigned>(R.below(4)));
+  case 2:
+    return Term::constant(R.range(0, 2));
+  default:
+    return Term::constant(FreshValueMin + R.range(-2, 2));
+  }
+}
+
+Cond randCondU(Rng &R, unsigned Depth) {
+  if (Depth == 0 || R.chance(1, 3)) {
+    CmpKind K = CmpKind::Eq;
+    if (R.chance(1, 2))
+      K = R.chance(1, 2) ? CmpKind::Lt : CmpKind::Le;
+    return Cond::cmp(K, randTermU(R), randTermU(R));
+  }
+  switch (R.below(3)) {
+  case 0:
+    return randCondU(R, Depth - 1) && randCondU(R, Depth - 1);
+  case 1:
+    return randCondU(R, Depth - 1) || randCondU(R, Depth - 1);
+  default:
+    return !randCondU(R, Depth - 1);
+  }
+}
+
+/// Random facts including Unique identities.
+EventFacts randFactsU(Rng &R) {
+  EventFacts F(4);
+  for (ArgFact &A : F) {
+    switch (R.below(4)) {
+    case 0:
+      break;
+    case 1:
+      A = ArgFact::constant(R.range(0, 2));
+      break;
+    case 2:
+      A = ArgFact::symbol(static_cast<unsigned>(R.below(2)));
+      break;
+    default:
+      A = ArgFact::unique(static_cast<unsigned>(R.below(3)));
+      break;
+    }
+  }
+  return F;
+}
+
+/// The Z3 reference: decides whether \p C has a model under \p Src /
+/// \p Tgt with the fact semantics the congruence engine assumes —
+/// constants pin values, symbols alias slots, and Unique facts are fresh
+/// identities (>= FreshValueMin, equal iff the identity matches).
 bool z3Satisfiable(const Cond &C, const EventFacts &Src,
                    const EventFacts &Tgt) {
   z3::context Ctx;
   z3::solver Solver(Ctx);
-  std::vector<z3::expr> SrcVars, TgtVars, Symbols;
-  for (unsigned I = 0; I != 3; ++I) {
-    SrcVars.push_back(Ctx.int_const(("s" + std::to_string(I)).c_str()));
-    TgtVars.push_back(Ctx.int_const(("t" + std::to_string(I)).c_str()));
-  }
-  for (unsigned I = 0; I != 2; ++I)
-    Symbols.push_back(Ctx.int_const(("y" + std::to_string(I)).c_str()));
-  auto AddFacts = [&](const EventFacts &F, std::vector<z3::expr> &Vars) {
+
+  // One integer per referenced slot; shared symbol / fresh-identity
+  // variables on demand.
+  std::vector<z3::expr> SrcVars, TgtVars;
+  std::map<unsigned, z3::expr> Symbols;
+  std::map<unsigned, z3::expr> Uniques;
+  auto SlotVar = [&](bool IsSrc, unsigned I) {
+    std::vector<z3::expr> &Vars = IsSrc ? SrcVars : TgtVars;
+    while (Vars.size() <= I) {
+      std::string Name = (IsSrc ? "s" : "t") + std::to_string(Vars.size());
+      Vars.push_back(Ctx.int_const(Name.c_str()));
+    }
+    return Vars[I];
+  };
+  auto AddFacts = [&](const EventFacts &F, bool IsSrc) {
     for (unsigned I = 0; I != F.size(); ++I) {
-      if (F[I].Kind == ArgFact::Constant)
-        Solver.add(Vars[I] ==
-                   Ctx.int_val(static_cast<int64_t>(F[I].Value)));
-      else if (F[I].Kind == ArgFact::Symbolic)
-        Solver.add(Vars[I] == Symbols[F[I].Symbol]);
+      z3::expr V = SlotVar(IsSrc, I);
+      switch (F[I].Kind) {
+      case ArgFact::Free:
+        break;
+      case ArgFact::Constant:
+        Solver.add(V == Ctx.int_val(static_cast<int64_t>(F[I].Value)));
+        break;
+      case ArgFact::Symbolic: {
+        auto It = Symbols.find(F[I].Symbol);
+        if (It == Symbols.end()) {
+          std::string Name = "y" + std::to_string(F[I].Symbol);
+          It = Symbols.emplace(F[I].Symbol, Ctx.int_const(Name.c_str()))
+                   .first;
+        }
+        Solver.add(V == It->second);
+        break;
+      }
+      case ArgFact::Unique: {
+        auto It = Uniques.find(F[I].Symbol);
+        if (It == Uniques.end()) {
+          std::string Name = "u" + std::to_string(F[I].Symbol);
+          z3::expr U = Ctx.int_const(Name.c_str());
+          Solver.add(U >= Ctx.int_val(FreshValueMin));
+          for (const auto &[Id, Other] : Uniques)
+            Solver.add(U != Other);
+          It = Uniques.emplace(F[I].Symbol, U).first;
+        }
+        Solver.add(V == It->second);
+        break;
+      }
+      }
     }
   };
-  AddFacts(Src, SrcVars);
-  AddFacts(Tgt, TgtVars);
+  AddFacts(Src, /*IsSrc=*/true);
+  AddFacts(Tgt, /*IsSrc=*/false);
 
   std::function<z3::expr(const Cond &)> Enc = [&](const Cond &K) {
     switch (K.kind()) {
@@ -105,19 +200,19 @@ bool z3Satisfiable(const Cond &C, const EventFacts &Src,
     case Cond::NodeKind::Atom: {
       auto TermOf = [&](const Term &T) {
         if (T.Kind == Term::ArgSrc)
-          return SrcVars[T.Index];
+          return SlotVar(/*IsSrc=*/true, T.Index);
         if (T.Kind == Term::ArgTgt)
-          return TgtVars[T.Index];
+          return SlotVar(/*IsSrc=*/false, T.Index);
         return Ctx.int_val(static_cast<int64_t>(T.Value));
       };
-      z3::expr L = TermOf(K.atomLHS()), R2 = TermOf(K.atomRHS());
+      z3::expr L = TermOf(K.atomLHS()), R = TermOf(K.atomRHS());
       switch (K.atomCmp()) {
       case CmpKind::Eq:
-        return L == R2;
+        return L == R;
       case CmpKind::Lt:
-        return L < R2;
+        return L < R;
       case CmpKind::Le:
-        return L <= R2;
+        return L <= R;
       }
       return Ctx.bool_val(false);
     }
@@ -176,108 +271,10 @@ TEST(CondZ3Cross, CompleteOnEqualityConditions) {
   EXPECT_EQ(Agreements, 400u);
 }
 
-//===----------------------------------------------------------------------===//
-// Relational-domain differential fuzzing (src/domain vs Z3)
-//===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Term generator for the domain fuzzer: four slots per side, and constants
-/// straddling FreshValueMin so the unique-identity lower bound is exercised
-/// from both directions.
-Term randTermU(Rng &R) {
-  switch (R.below(4)) {
-  case 0:
-    return Term::argSrc(static_cast<unsigned>(R.below(4)));
-  case 1:
-    return Term::argTgt(static_cast<unsigned>(R.below(4)));
-  case 2:
-    return Term::constant(R.range(0, 2));
-  default:
-    return Term::constant(FreshValueMin + R.range(-2, 2));
-  }
-}
-
-Cond randCondU(Rng &R, unsigned Depth) {
-  if (Depth == 0 || R.chance(1, 3)) {
-    CmpKind K = CmpKind::Eq;
-    if (R.chance(1, 2))
-      K = R.chance(1, 2) ? CmpKind::Lt : CmpKind::Le;
-    return Cond::cmp(K, randTermU(R), randTermU(R));
-  }
-  switch (R.below(3)) {
-  case 0:
-    return randCondU(R, Depth - 1) && randCondU(R, Depth - 1);
-  case 1:
-    return randCondU(R, Depth - 1) || randCondU(R, Depth - 1);
-  default:
-    return !randCondU(R, Depth - 1);
-  }
-}
-
-/// Random facts including Unique identities (the fact kind the plain
-/// z3Satisfiable helper above does not model — these trials go through
-/// z3CondSatisfiable, which axiomatizes them).
-EventFacts randFactsU(Rng &R) {
-  EventFacts F(4);
-  for (ArgFact &A : F) {
-    switch (R.below(4)) {
-    case 0:
-      break;
-    case 1:
-      A = ArgFact::constant(R.range(0, 2));
-      break;
-    case 2:
-      A = ArgFact::symbol(static_cast<unsigned>(R.below(2)));
-      break;
-    default:
-      A = ArgFact::unique(static_cast<unsigned>(R.below(3)));
-      break;
-    }
-  }
-  return F;
-}
-
-} // namespace
-
-// The prefilter's soundness contract, fuzzed: a domain *proof* must never
-// disagree with Z3 under the full fact semantics (constants pinned,
-// symbols congruent, unique identities pairwise distinct and above
-// FreshValueMin). Unknown is always allowed; a disagreement on a proof is
-// a bug that would silently change analyzer verdicts, so this test is the
-// one that must never be weakened.
-TEST(DomainZ3Fuzz, ProofsNeverDisagreeWithZ3) {
-  Rng R(0xD0A0);
-  unsigned Sat = 0, Unsat = 0, Unknown = 0;
-  for (int Trial = 0; Trial != 4000; ++Trial) {
-    Cond C = randCondU(R, 1 + static_cast<unsigned>(R.below(4)));
-    EventFacts Src = randFactsU(R), Tgt = randFactsU(R);
-    DomainVerdict V = domainDecide(C, Src, Tgt);
-    if (V == DomainVerdict::Unknown) {
-      ++Unknown;
-      continue;
-    }
-    bool Z3Says = z3CondSatisfiable(C, Src, Tgt);
-    if (V == DomainVerdict::ProvenSat) {
-      ++Sat;
-      EXPECT_TRUE(Z3Says) << "domain proved sat, Z3 disagrees: " << C.str();
-    } else {
-      ++Unsat;
-      EXPECT_FALSE(Z3Says) << "domain proved unsat, Z3 disagrees: "
-                           << C.str();
-    }
-  }
-  // The domain must also actually decide things, or the test is vacuous.
-  EXPECT_GT(Sat, 500u);
-  EXPECT_GT(Unsat, 200u);
-  (void)Unknown;
-}
-
-// The congruence engine is the fallback behind every domain Unknown in the
-// oracle-assist path; with Unique facts in play (which the original tests
-// above never generate) its unsat claims must still be sound against the
-// same Z3 reference the domain is checked against.
-TEST(DomainZ3Fuzz, CongruenceSoundWithUniqueFacts) {
+// With Unique facts in play (which the tests above never generate) the
+// engine's unsat claims must still be sound against the Z3 reference.
+TEST(CondZ3Cross, CongruenceSoundWithUniqueFacts) {
   Rng R(0xD0A1);
   unsigned CCUnsat = 0;
   for (int Trial = 0; Trial != 1500; ++Trial) {
@@ -286,27 +283,32 @@ TEST(DomainZ3Fuzz, CongruenceSoundWithUniqueFacts) {
     if (C.satisfiableUnder(Src, Tgt))
       continue;
     ++CCUnsat;
-    EXPECT_FALSE(z3CondSatisfiable(C, Src, Tgt))
+    EXPECT_FALSE(z3Satisfiable(C, Src, Tgt))
         << "CC-SAT unsound on " << C.str();
   }
   EXPECT_GT(CCUnsat, 100u);
 }
 
-// Equality-only conditions with unique facts: the domain decides them
-// (never Unknown) and agrees with Z3 exactly, mirroring the congruence
-// completeness test above at the domain layer.
-TEST(DomainZ3Fuzz, DecidesEqualityConditionsExactly) {
-  Rng R(0xD0A2);
-  unsigned Decided = 0;
-  for (int Trial = 0; Trial != 1000; ++Trial) {
-    Cond C = randCond(R, 3, /*EqOnly=*/true);
-    EventFacts Src = randFactsU(R), Tgt = randFactsU(R);
-    DomainVerdict V = domainDecide(C, Src, Tgt);
-    if (V == DomainVerdict::Unknown)
-      continue;
-    ++Decided;
-    EXPECT_EQ(V == DomainVerdict::ProvenSat, z3CondSatisfiable(C, Src, Tgt))
-        << C.str();
-  }
-  EXPECT_GT(Decided, 900u);
+// Facts shorter than the referenced slots: slots beyond the facts vector
+// are free. A unique fact next to out-of-range slot references once
+// misaligned the congruence engine's parallel class tables — keep these
+// exact shapes as a regression.
+TEST(ShortFacts, OutOfRangeSlotsAreFree) {
+  Cond C = Cond::eq(Term::argSrc(0), Term::argTgt(2)) &&
+           Cond::eq(Term::argSrc(4), Term::argTgt(5));
+  EventFacts Src{ArgFact::unique(3)};
+  EventFacts Tgt;
+  EXPECT_TRUE(C.satisfiableUnder(Src, Tgt));
+  EXPECT_TRUE(z3Satisfiable(C, Src, Tgt));
+}
+
+TEST(ShortFacts, UniqueSemanticsSurviveShortVectors) {
+  // The unsat answer must come from the unique disequality, not from any
+  // accidental slot/class misalignment caused by the trailing free slots.
+  Cond C = Cond::eq(Term::argSrc(0), Term::argTgt(0)) &&
+           Cond::eq(Term::argSrc(3), Term::argSrc(3));
+  EventFacts Src{ArgFact::unique(1)};
+  EventFacts Tgt{ArgFact::unique(2)};
+  EXPECT_FALSE(C.satisfiableUnder(Src, Tgt));
+  EXPECT_FALSE(z3Satisfiable(C, Src, Tgt));
 }

@@ -7,11 +7,11 @@
 /// \file
 /// Tests for the persistent cross-run cache stack: DiskCache crash safety
 /// (torn and corrupt entries are misses, never errors; stale tmp files are
-/// swept; a killed writer cannot publish a partial entry), OracleSnapshot
-/// round-tripping, fingerprint sensitivity, AnalysisResult serialization,
-/// and the end-to-end determinism contract — a warm analyzeCached run must
-/// reproduce the cold run's serialized result byte for byte on every
-/// example program.
+/// swept; a killed writer cannot publish a partial entry), fingerprint
+/// sensitivity, AnalysisResult serialization, the end-to-end determinism
+/// contract — a warm analyzeCached run must reproduce the cold run's
+/// serialized result byte for byte on every example program — and the cost
+/// contract of a verdict miss: it reads only its own key.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -167,113 +167,6 @@ TEST(DiskCache, HostileKeysCannotEscapeObjectsDir) {
   EXPECT_EQ(Path.find('/', Prefix.size()), std::string::npos);
 }
 
-TEST(OracleSnapshot, SerializeDeserializeRoundTrip) {
-  // Build a snapshot by exporting from a real oracle run, then round-trip.
-  std::string Source = readFile(std::string(C4_SOURCE_DIR) +
-                                "/examples/c4l/fig11_add_follower.c4l");
-  CompileResult P = compileC4L(Source);
-  ASSERT_TRUE(P.ok()) << P.Error;
-  CommutativityOracle Oracle;
-  AnalyzerOptions O;
-  O.ExternalOracle = &Oracle;
-  analyze(*P.Program->History, O);
-
-  OracleSnapshot Snap;
-  Oracle.exportSats(Snap);
-  ASSERT_GT(Snap.size(), 0u) << "analysis should have queried the oracle";
-
-  std::string Blob = Snap.serialize();
-  std::optional<OracleSnapshot> Back = OracleSnapshot::deserialize(Blob);
-  ASSERT_TRUE(Back.has_value());
-  EXPECT_EQ(Back->size(), Snap.size());
-  EXPECT_EQ(Back->serialize(), Blob); // canonical form is a fixed point
-
-  // Importing into a fresh oracle against the same registry restores every
-  // entry (type names resolve, no skips).
-  CommutativityOracle Fresh;
-  EXPECT_EQ(Fresh.importSats(*Back, *P.Program->Registry), Snap.size());
-}
-
-TEST(OracleSnapshot, DeserializeRejectsDamage) {
-  OracleSnapshot Empty;
-  std::string Blob = Empty.serialize();
-  EXPECT_TRUE(OracleSnapshot::deserialize(Blob).has_value());
-  EXPECT_FALSE(OracleSnapshot::deserialize("").has_value());
-  EXPECT_FALSE(OracleSnapshot::deserialize("wrong header\n").has_value());
-  // Truncated mid-line (no trailing newline) must be rejected, not
-  // half-imported: a torn snapshot is all-or-nothing.
-  std::string Truncated = Blob + "+set|0|1|0||";
-  EXPECT_FALSE(OracleSnapshot::deserialize(Truncated).has_value());
-  // Verdict marker must be + or -.
-  EXPECT_FALSE(
-      OracleSnapshot::deserialize(Blob + "?set|0|1|0||\n").has_value());
-}
-
-/// Builds a snapshot from a crafted blob; the entry map itself is private
-/// (only the oracle writes it), so tests compose snapshots the way peers
-/// do — through the wire format.
-static OracleSnapshot snapFrom(const std::string &Facts) {
-  std::optional<OracleSnapshot> S =
-      OracleSnapshot::deserialize("c4-oracle-snapshot 2\n" + Facts);
-  EXPECT_TRUE(S.has_value()) << Facts;
-  return S.value_or(OracleSnapshot());
-}
-
-TEST(OracleSnapshot, MergeKeepsExistingOnConflictAndDedups) {
-  OracleSnapshot A = snapFrom("+a\n-b\n");
-  // c conflicts (A has nothing), b conflicts with the opposite verdict,
-  // a duplicates with the same verdict.
-  OracleSnapshot B = snapFrom("+a\n+b\n+c\n");
-  A.merge(B);
-  EXPECT_EQ(A.size(), 3u);
-  // First write wins: b keeps A's `-` verdict. Keys serialize sorted, so
-  // the canonical form pins both the dedup and the conflict policy.
-  EXPECT_EQ(A.serialize(), "c4-oracle-snapshot 2\n+a\n-b\n+c\n");
-  // Merge is idempotent.
-  A.merge(B);
-  EXPECT_EQ(A.size(), 3u);
-}
-
-TEST(OracleSnapshot, DeltaSinceYieldsOnlyNewFacts) {
-  OracleSnapshot Full = snapFrom("+a\n-b\n+c\n");
-  OracleSnapshot Base = snapFrom("+a\n-b\n");
-  OracleSnapshot Empty;
-
-  // Against an empty base the delta is everything; against itself, nothing.
-  EXPECT_EQ(Full.deltaSince(Empty).size(), 3u);
-  EXPECT_EQ(Full.deltaSince(Full).size(), 0u);
-  EXPECT_EQ(Empty.deltaSince(Full).size(), 0u);
-
-  // Overlap: only the fact the base lacks, and base + delta rebuilds the
-  // union — the invariant the router's broadcast tier relies on.
-  OracleSnapshot Delta = Full.deltaSince(Base);
-  EXPECT_EQ(Delta.serialize(), "c4-oracle-snapshot 2\n+c\n");
-  Base.merge(Delta);
-  EXPECT_EQ(Base.serialize(), Full.serialize());
-
-  // A key present in both but with a different verdict is NOT part of the
-  // delta: deltas carry new facts, they never flip established ones.
-  OracleSnapshot Flipped = snapFrom("-a\n-b\n");
-  EXPECT_EQ(Full.deltaSince(Flipped).serialize(),
-            "c4-oracle-snapshot 2\n+c\n");
-}
-
-TEST(OracleSnapshot, VersionSkewRejectedWholesale) {
-  // An older (or newer) format version is refused outright — never
-  // partially applied, even when the body would parse.
-  EXPECT_FALSE(
-      OracleSnapshot::deserialize("c4-oracle-snapshot 1\n+a\n").has_value());
-  EXPECT_FALSE(
-      OracleSnapshot::deserialize("c4-oracle-snapshot 3\n+a\n").has_value());
-  // Empty delta round-trip: header-only blob is a valid, empty snapshot.
-  std::optional<OracleSnapshot> Empty =
-      OracleSnapshot::deserialize("c4-oracle-snapshot 2\n");
-  ASSERT_TRUE(Empty.has_value());
-  EXPECT_EQ(Empty->size(), 0u);
-  EXPECT_TRUE(Empty->empty());
-  EXPECT_EQ(Empty->serialize(), "c4-oracle-snapshot 2\n");
-}
-
 TEST(Fingerprint, SensitiveToProgramAndOptions) {
   std::string A = readFile(std::string(C4_SOURCE_DIR) +
                            "/examples/c4l/fig11_add_follower.c4l");
@@ -336,20 +229,26 @@ TEST(VerdictSerialization, RoundTripIsExact) {
       deserializeResult(Blob.substr(0, Blob.size() / 2)).has_value());
 }
 
+/// Every example program's path.
+std::vector<std::string> exampleFiles() {
+  std::string ExampleDir = std::string(C4_SOURCE_DIR) + "/examples/c4l";
+  std::vector<std::string> Examples;
+  if (DIR *D = ::opendir(ExampleDir.c_str())) {
+    while (struct dirent *E = ::readdir(D)) {
+      std::string Name = E->d_name;
+      if (Name.size() > 4 && Name.substr(Name.size() - 4) == ".c4l")
+        Examples.push_back(ExampleDir + "/" + Name);
+    }
+    ::closedir(D);
+  }
+  return Examples;
+}
+
 /// The end-to-end determinism contract over every example program: cold
 /// populates, a second AnalysisCache over the same directory serves warm,
 /// and the serialized results must be byte-identical.
 TEST(AnalysisCacheTest, WarmIsByteIdenticalToColdOnAllExamples) {
-  std::string ExampleDir = std::string(C4_SOURCE_DIR) + "/examples/c4l";
-  std::vector<std::string> Examples;
-  DIR *D = ::opendir(ExampleDir.c_str());
-  ASSERT_NE(D, nullptr);
-  while (struct dirent *E = ::readdir(D)) {
-    std::string Name = E->d_name;
-    if (Name.size() > 4 && Name.substr(Name.size() - 4) == ".c4l")
-      Examples.push_back(ExampleDir + "/" + Name);
-  }
-  ::closedir(D);
+  std::vector<std::string> Examples = exampleFiles();
   ASSERT_GE(Examples.size(), 6u);
 
   std::string Dir = freshDir("determinism");
@@ -405,7 +304,7 @@ TEST(AnalysisCacheTest, CorruptVerdictFallsBackColdAndRepairs) {
     ColdBlob = serializeResult(PR.R);
     Fingerprint = PR.Fingerprint;
   }
-  // Corrupt the verdict entry on disk (the oracle snapshot stays intact).
+  // Corrupt the verdict entry on disk.
   {
     DiskCache Disk(Dir);
     std::string Key = "verdict-r1-" + Fingerprint;
@@ -420,8 +319,8 @@ TEST(AnalysisCacheTest, CorruptVerdictFallsBackColdAndRepairs) {
   PipelineResult PR =
       analyzeCached(*P.Program->History, O, *P.Program->Registry, &Cache);
   EXPECT_FALSE(PR.CacheHit); // corrupt entry is a miss...
-  // ...re-analyzed to the same verdict (stage timings and oracle counters
-  // differ between independent cold runs; the conclusion must not).
+  // ...re-analyzed to the same verdict (stage timings differ between
+  // independent cold runs; the conclusion must not).
   std::optional<AnalysisResult> ColdR = deserializeResult(ColdBlob);
   ASSERT_TRUE(ColdR.has_value());
   EXPECT_EQ(verdictDigest(PR.R), verdictDigest(*ColdR));
@@ -479,25 +378,76 @@ TEST(AnalysisCacheTest, ConcurrentStampedeRunsBackendOnce) {
     EXPECT_EQ(Blobs[0], Blobs[I]);
 }
 
-/// flush() persists oracle snapshot growth and is idempotent — the serving
-/// tier calls it on graceful drain.
-TEST(AnalysisCacheTest, FlushPersistsOracleGrowth) {
+/// flush() persists incremental snapshot growth and is idempotent — the
+/// serving tier calls it on graceful drain.
+TEST(AnalysisCacheTest, FlushPersistsIncrementalGrowth) {
   std::string Path =
-      std::string(C4_SOURCE_DIR) + "/examples/c4l/fig1_put_get.c4l";
+      std::string(C4_SOURCE_DIR) + "/examples/c4l/fig11_add_follower.c4l";
   std::string Dir = freshDir("flush");
-  size_t Entries = 0;
+  size_t Records = 0, Txns = 0;
   {
-    AnalysisCache Cache(Dir);
+    AnalysisCache Cache(Dir, /*Incremental=*/true);
     CompileResult P = compileC4L(readFile(Path));
     ASSERT_TRUE(P.ok());
     AnalyzerOptions O;
     analyzeCached(*P.Program->History, O, *P.Program->Registry, &Cache);
-    Entries = Cache.oracleEntries();
+    Records = Cache.incrRecords();
+    Txns = Cache.incrTxns();
+    ASSERT_GT(Records, 0u) << "the example should reach the SMT stage";
     Cache.flush();
     Cache.flush(); // idempotent
   }
-  AnalysisCache Reopened(Dir);
-  EXPECT_EQ(Reopened.oracleEntries(), Entries);
+  AnalysisCache Reopened(Dir, /*Incremental=*/true);
+  EXPECT_EQ(Reopened.incrRecords(), Records);
+  EXPECT_EQ(Reopened.incrTxns(), Txns);
+}
+
+/// Renames the first transaction declared at the start of a line in
+/// \p Source.
+std::string renameFirstTxn(std::string Source) {
+  size_t Decl = Source.find("\ntxn ");
+  EXPECT_NE(Decl, std::string::npos) << "no transaction declaration";
+  if (Decl != std::string::npos)
+    Source.insert(Source.find_first_of(" ({", Decl + 5), "_renamed");
+  return Source;
+}
+
+/// The cost contract of a verdict miss: opening a cache reads nothing, and
+/// analyzing a first-seen program reads only its own verdict key (a miss)
+/// and stores only its verdict — however many other verdicts the directory
+/// holds. Nothing else is loaded into, or written back from, the run.
+TEST(AnalysisCacheTest, VerdictMissReadsOnlyItsOwnKey) {
+  std::string Dir = freshDir("miss_cost");
+  std::vector<std::string> Examples = exampleFiles();
+  ASSERT_GE(Examples.size(), 6u);
+  {
+    AnalysisCache Cache(Dir);
+    for (const std::string &Path : Examples) {
+      CompileResult P = compileC4L(readFile(Path));
+      ASSERT_TRUE(P.ok()) << Path << ": " << P.Error;
+      AnalyzerOptions O;
+      analyzeCached(*P.Program->History, O, *P.Program->Registry, &Cache);
+    }
+    EXPECT_EQ(Cache.diskStats().Stores, Examples.size());
+  }
+
+  AnalysisCache Cache(Dir);
+  ASSERT_TRUE(Cache.enabled());
+  DiskCacheStats Open = Cache.diskStats();
+  EXPECT_EQ(Open.Hits + Open.Misses + Open.Stores, 0u);
+
+  CompileResult P = compileC4L(renameFirstTxn(readFile(
+      std::string(C4_SOURCE_DIR) + "/examples/c4l/fig11_add_follower.c4l")));
+  ASSERT_TRUE(P.ok()) << P.Error;
+  AnalyzerOptions O;
+  PipelineResult PR =
+      analyzeCached(*P.Program->History, O, *P.Program->Registry, &Cache);
+  EXPECT_FALSE(PR.CacheHit);
+  DiskCacheStats D = Cache.diskStats();
+  EXPECT_EQ(D.Hits, 0u);
+  EXPECT_EQ(D.Misses, 1u);
+  EXPECT_EQ(D.Corrupt, 0u);
+  EXPECT_EQ(D.Stores, 1u);
 }
 
 } // namespace

@@ -170,9 +170,8 @@ TEST(Snapshots, IncrementalRoundTrip) {
   IncrementalSnapshot S;
   // Keys are fingerprint digests — space-free by construction, which the
   // line format relies on.
-  S.addRecord("key-1", {.Prefiltered = true});
-  S.addRecord("key-2", {.PrefilterUnknown = true,
-                        .Attempts = 3,
+  S.addRecord("key-1", {.Attempts = 1});
+  S.addRecord("key-2", {.Attempts = 3,
                         .CtxReuses = 2,
                         .RlimitBudget = 500000});
   S.addTxn("digest-a");
@@ -187,8 +186,6 @@ TEST(Snapshots, IncrementalRoundTrip) {
   EXPECT_FALSE(Back->hasTxn("digest-c"));
   const IncrRecord *R = Back->record("key-2");
   ASSERT_NE(R, nullptr);
-  EXPECT_FALSE(R->Prefiltered);
-  EXPECT_TRUE(R->PrefilterUnknown);
   EXPECT_EQ(R->Attempts, 3u);
   EXPECT_EQ(R->CtxReuses, 2u);
   EXPECT_EQ(R->RlimitBudget, 500000u);
@@ -218,8 +215,7 @@ WitnessModel sampleWitness() {
 
 TEST(Snapshots, CycleRecordWithWitnessRoundTrip) {
   IncrementalSnapshot S;
-  S.addRecord("bounded-cycle", {.PrefilterUnknown = true,
-                                .Attempts = 1,
+  S.addRecord("bounded-cycle", {.Attempts = 1,
                                 .CtxReuses = 3,
                                 .RlimitBudget = 9000,
                                 .Cycle = true,
@@ -233,7 +229,6 @@ TEST(Snapshots, CycleRecordWithWitnessRoundTrip) {
   const IncrRecord *R = Back->record("bounded-cycle");
   ASSERT_NE(R, nullptr);
   EXPECT_TRUE(R->Cycle);
-  EXPECT_TRUE(R->PrefilterUnknown);
   EXPECT_EQ(R->CtxReuses, 3u);
   ASSERT_TRUE(R->Witness.has_value());
   EXPECT_EQ(*R->Witness, sampleWitness());
@@ -245,10 +240,12 @@ TEST(Snapshots, CycleRecordWithWitnessRoundTrip) {
   ASSERT_NE(R, nullptr);
   EXPECT_FALSE(R->Cycle);
 
-  // Version skew: a v1 blob reads as no snapshot (an empty cache).
-  std::string V1 = Blob;
-  V1.replace(0, V1.find('\n'), "c4-incr-snapshot 1");
-  EXPECT_FALSE(IncrementalSnapshot::deserialize(V1).has_value());
+  // Version skew: an older blob reads as no snapshot (an empty cache).
+  for (const char *Old : {"c4-incr-snapshot 1", "c4-incr-snapshot 2"}) {
+    std::string Skewed = Blob;
+    Skewed.replace(0, Skewed.find('\n'), Old);
+    EXPECT_FALSE(IncrementalSnapshot::deserialize(Skewed).has_value());
+  }
 
   // A truncated witness line, a missing one and trailing junk all fail.
   size_t W = Blob.find("\nw ");
@@ -297,14 +294,12 @@ std::string stripVolatile(const std::string &Blob) {
   static const char *const Strip[] = {
       "backend_seconds",     "ssg_seconds",
       "enum_seconds",        "smt_seconds",
-      "prefilter_seconds",   "incremental_seconds",
-      "validate_seconds",    "rlimit_spent",
-      "smt_retries",         "smt_solves",
-      "sat_cache_hits",      "sat_cache_misses",
-      "sat_assist_proven",   "cond_cache_hits",
+      "incremental_seconds", "validate_seconds",
+      "rlimit_spent",        "smt_retries",
+      "smt_solves",          "sat_cache_hits",
+      "sat_cache_misses",    "cond_cache_hits",
       "cond_cache_misses",   "txn_fingerprint_hits",
-      "pair_verdicts_reused", "solver_ctx_reuses",
-      "v.ce",
+      "solver_ctx_reuses",   "v.ce",
   };
   std::string Out;
   size_t Pos = 0;
@@ -514,8 +509,7 @@ StoreRun runWithStore(const CompiledProgram &P, const AnalyzerOptions &O,
 
 /// Bounded-stage record key -> whether its unfolding instantiates \p Txn,
 /// for every unfolding of \p P with candidate cycles. Mirrors the bounded
-/// check's keying without the prefilter's SSG assist, so \p O must have
-/// UsePrefilter off.
+/// check's keying.
 std::map<std::string, bool> boundedKeys(const CompiledProgram &P,
                                         const AnalyzerOptions &O,
                                         unsigned Txn) {
@@ -575,7 +569,6 @@ TEST(IncrementalDifferential, ContentEditReplaysUntouchedRecords) {
   // unfolding lacks putN finds the unedited program's record, and the
   // edit invalidated every query whose unfolding has it.
   AnalyzerOptions O;
-  O.UsePrefilter = false;
   O.NumThreads = 1;
   IncrementalSnapshot Empty;
   IncrementalSnapshot S0 = runWithStore(P0, O, Empty).Fresh;
@@ -688,8 +681,7 @@ TEST(StageLedger, StageSecondsNeverExceedBackend) {
       ASSERT_FALSE(PR.CacheHit);
       const AnalysisResult &R = PR.R;
       double Stages = R.SSGSeconds + R.EnumSeconds + R.SmtSeconds +
-                      R.PrefilterSeconds + R.IncrementalSeconds +
-                      R.ValidateSeconds;
+                      R.IncrementalSeconds + R.ValidateSeconds;
       EXPECT_LE(Stages, R.BackendSeconds)
           << (Warm ? "warm" : "cold") << " run of\n" << S;
       if (Warm) {

@@ -140,92 +140,6 @@ TEST(LintGolden, W005ReportedWithoutReduction) {
             "absorbed by the identical update on line 4 [txn t]\n");
 }
 
-TEST(LintGolden, W006UnsatisfiableGuard) {
-  // A fresh row identity is >= FreshValueMin, so `id < 5` can never hold.
-  // The unary guard dataflow (W003) knows nothing about fresh identities;
-  // only the relational domain over the compiled facts proves this.
-  EXPECT_EQ(lintText("container table T;\n"
-                     "txn t(v) {\n"
-                     "  let id = T.add_row();\n"
-                     "  if (id < 5) {\n"
-                     "    T.set(id, 0, v);\n"
-                     "  }\n"
-                     "  T.set(id, 1, v);\n"
-                     "  let x = T.get(id, 1);\n"
-                     "  display(x);\n"
-                     "}\n"),
-            "test.c4l:2: warning C4L-W006: guard 'src0<5' on the edge "
-            "e1[T.add_row]@t -> e2[then.head]@t is statically "
-            "unsatisfiable; the guarded code can never execute [txn t]\n");
-}
-
-TEST(LintGolden, W006ReportedWithoutReduction) {
-  // `--no-passes` promotes fresh facts on a scratch copy just for the
-  // lint, so the warning survives even when no rewriting runs.
-  EXPECT_EQ(lintText("container table T;\n"
-                     "txn t(v) {\n"
-                     "  let id = T.add_row();\n"
-                     "  if (id < 5) {\n"
-                     "    T.set(id, 0, v);\n"
-                     "  }\n"
-                     "  T.set(id, 1, v);\n"
-                     "  let x = T.get(id, 1);\n"
-                     "  display(x);\n"
-                     "}\n",
-                     /*Reduce=*/false),
-            "test.c4l:2: warning C4L-W006: guard 'src0<5' on the edge "
-            "e1[T.add_row]@t -> e2[then.head]@t is statically "
-            "unsatisfiable; the guarded code can never execute [txn t]\n");
-}
-
-TEST(LintGolden, W006AlwaysTrueGuardFlagsElseEdge) {
-  // `id > 5` always holds for a fresh identity, so it is the *else* edge
-  // whose guard (`id <= 5`) closes to bottom.
-  EXPECT_EQ(lintText("container table T;\n"
-                     "txn t(v) {\n"
-                     "  let id = T.add_row();\n"
-                     "  if (id > 5) {\n"
-                     "    T.set(id, 0, v);\n"
-                     "  }\n"
-                     "  T.set(id, 1, v);\n"
-                     "  let x = T.get(id, 1);\n"
-                     "  display(x);\n"
-                     "}\n"),
-            "test.c4l:2: warning C4L-W006: guard 'src0<=5' on the edge "
-            "e1[T.add_row]@t -> e4[else]@t is statically "
-            "unsatisfiable; the guarded code can never execute [txn t]\n");
-}
-
-TEST(LintGolden, W006SatisfiableGuardQuiet) {
-  // A guard over an unconstrained query result can go either way: no
-  // warning.
-  EXPECT_EQ(lintText("container table T;\n"
-                     "txn t(v) {\n"
-                     "  let id = T.add_row();\n"
-                     "  T.set(id, 1, v);\n"
-                     "  let x = T.get(id, 1);\n"
-                     "  if (x < 5) {\n"
-                     "    T.set(id, 0, v);\n"
-                     "  }\n"
-                     "  display(x);\n"
-                     "}\n"),
-            "");
-}
-
-TEST(LintSuppression, W006AllowOnTxnLine) {
-  EXPECT_EQ(lintText("container table T;\n"
-                     "txn t(v) { // c4l-allow C4L-W006\n"
-                     "  let id = T.add_row();\n"
-                     "  if (id < 5) {\n"
-                     "    T.set(id, 0, v);\n"
-                     "  }\n"
-                     "  T.set(id, 1, v);\n"
-                     "  let x = T.get(id, 1);\n"
-                     "  display(x);\n"
-                     "}\n"),
-            "");
-}
-
 TEST(LintGolden, CleanProgramNoWarnings) {
   EXPECT_EQ(lintText("container map M;\n"
                      "txn w(k, v) {\n"

@@ -7,11 +7,12 @@
 /// \file
 /// Drives the real c4-router binary (path injected as C4_ROUTER_PATH) over
 /// TCP with a live worker fleet behind it: control ops answered by the
-/// router itself, rendezvous routing with sticky warm hits, the shared
-/// snapshot tier moving oracle facts between workers, crash recovery (a
-/// SIGKILLed worker is restarted and its traffic re-routed with zero failed
-/// replies), and graceful drain on SIGTERM — exit 0 with no worker process
-/// left behind.
+/// router itself, rendezvous routing with sticky warm hits, crash recovery
+/// (a SIGKILLed worker is restarted and its traffic re-routed with zero
+/// failed replies), hung-worker recovery (a SIGSTOPped worker stops
+/// answering pings and is killed, restarted and its requests re-routed),
+/// and graceful drain on SIGTERM — exit 0 with no worker process left
+/// behind.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,6 +94,16 @@ struct RouterProc {
     Pid = -1;
   }
 };
+
+/// A numeric field of worker \p Index's entry in a router stats reply's
+/// workers_detail, or -1.
+long workerField(const std::string &Stats, unsigned Index,
+                 const std::string &Key) {
+  size_t Pos = Stats.find("{\"index\": " + std::to_string(Index) + ",");
+  if (Pos == std::string::npos)
+    return -1;
+  return statField(Stats.substr(Pos, Stats.find('}', Pos) - Pos), Key);
+}
 
 /// Spawns c4-router on a kernel-chosen TCP port and waits for the
 /// listening line. The worker fleet comes up asynchronously; tests that
@@ -271,34 +282,6 @@ TEST(Router, RoutesAnalysesWithStickyWarmHits) {
   R.kill();
 }
 
-TEST(Router, SnapshotTierMovesFactsBetweenWorkers) {
-  RouterProc R = spawnRouter(
-      "rt_snap", "--workers 2 --worker-threads 1 --snapshot-interval-ms 100");
-  ASSERT_GT(R.Port, 0);
-  int Control = connectTcp(R.Port);
-  ASSERT_GE(Control, 0);
-  waitForStat(Control, "workers_up", 2);
-
-  // One analysis proves oracle facts on one worker; within a few snapshot
-  // intervals the router must have collected them and broadcast them to
-  // the other worker.
-  int A = connectTcp(R.Port);
-  ASSERT_GE(A, 0);
-  sendAll(A, "{\"id\": 1, \"file\": \"" +
-                 examplePath("fig11_add_follower.c4l") + "\"}\n");
-  ASSERT_TRUE(contains(recvLine(A), "\"ok\": true"));
-  ::close(A);
-
-  std::string Stats = waitForStat(Control, "snapshot_facts", 1);
-  EXPECT_GE(statField(Stats, "snapshot_facts"), 1) << Stats;
-  Stats = waitForStat(Control, "snapshot_broadcasts", 1);
-  EXPECT_GE(statField(Stats, "snapshot_broadcasts"), 1) << Stats;
-  EXPECT_GE(statField(Stats, "snapshot_facts_imported"), 1) << Stats;
-
-  ::close(Control);
-  R.kill();
-}
-
 TEST(Router, RestartsKilledWorkerAndDropsNoReplies) {
   RouterProc R = spawnRouter("rt_kill", "--workers 2 --worker-threads 1");
   ASSERT_GT(R.Port, 0);
@@ -334,6 +317,89 @@ TEST(Router, RestartsKilledWorkerAndDropsNoReplies) {
 
   ::close(Control);
   R.kill();
+}
+
+/// Waits for the router to exit; returns its wait status, or -1 after
+/// ~10 s.
+int waitRouterExit(RouterProc &R) {
+  for (int I = 0; I < 1000; ++I) {
+    int Status = -1;
+    if (::waitpid(R.Pid, &Status, WNOHANG) == R.Pid) {
+      R.Pid = -1;
+      return Status;
+    }
+    ::usleep(10 * 1000);
+  }
+  return -1;
+}
+
+TEST(Router, KillsAndRestartsStoppedWorker) {
+  RouterProc R = spawnRouter("rt_stop", "--workers 2 --worker-threads 1");
+  ASSERT_GT(R.Port, 0);
+  int Control = connectTcp(R.Port);
+  ASSERT_GE(Control, 0);
+  std::string Stats = waitForStat(Control, "workers_up", 2);
+  std::vector<long> Pids = workerPids(Stats);
+  ASSERT_EQ(Pids.size(), 2u);
+  ASSERT_GT(Pids[0], 0);
+
+  // Find a request the ring sends to worker 0: the routing key covers the
+  // options, so requests differing in max_k spread over both workers.
+  auto Request = [](int MaxK) {
+    return "{\"id\": " + std::to_string(MaxK) + ", \"max_k\": " +
+           std::to_string(MaxK) + ", \"file\": \"" +
+           examplePath("fig7_session_keys.c4l") + "\"}\n";
+  };
+  int OnWorker0 = 0;
+  for (int MaxK = 1; MaxK <= 32 && !OnWorker0; ++MaxK) {
+    long Before = workerField(Stats, 0, "routed");
+    int Fd = connectTcp(R.Port);
+    ASSERT_GE(Fd, 0);
+    sendAll(Fd, Request(MaxK));
+    ASSERT_TRUE(contains(recvLine(Fd), "\"ok\": true"));
+    ::close(Fd);
+    Stats = statsOn(Control);
+    if (workerField(Stats, 0, "routed") > Before)
+      OnWorker0 = MaxK;
+  }
+  ASSERT_GT(OnWorker0, 0) << Stats;
+
+  // Hang worker 0, then send it that request again, together with
+  // requests that land anywhere. Its pings go unanswered; after
+  // kWedgedGraceMs (15 s) the router kills it, re-routes what it held and
+  // restarts it. Every reply must arrive.
+  ASSERT_EQ(::kill(static_cast<pid_t>(Pids[0]), SIGSTOP), 0);
+  std::vector<int> Fds;
+  for (int MaxK : {OnWorker0, 40, 41, 42}) {
+    int Fd = connectTcp(R.Port);
+    ASSERT_GE(Fd, 0);
+    sendAll(Fd, Request(MaxK));
+    Fds.push_back(Fd);
+  }
+  for (int Fd : Fds) {
+    std::string Reply = recvLine(Fd, 60000);
+    EXPECT_TRUE(contains(Reply, "\"ok\": true")) << Reply;
+    ::close(Fd);
+  }
+
+  Stats = waitForStat(Control, "worker_restarts", 1);
+  EXPECT_EQ(statField(Stats, "worker_restarts"), 1) << Stats;
+  EXPECT_GE(statField(Stats, "rerouted_requests"), 1) << Stats;
+  EXPECT_EQ(statField(Stats, "replies_dropped"), 0) << Stats;
+  Stats = waitForStat(Control, "workers_up", 2);
+  EXPECT_EQ(statField(Stats, "workers_up"), 2) << Stats;
+  std::vector<long> After = workerPids(Stats);
+  ASSERT_EQ(After.size(), 2u);
+  EXPECT_NE(After[0], Pids[0]) << Stats;
+  EXPECT_NE(::kill(static_cast<pid_t>(Pids[0]), 0), 0)
+      << "the stopped worker is still alive";
+  ::close(Control);
+
+  ::kill(R.Pid, SIGTERM);
+  int Status = waitRouterExit(R);
+  ASSERT_NE(Status, -1) << "router did not exit; stderr: " << R.errLog();
+  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
+      << "status " << Status << "; stderr: " << R.errLog();
 }
 
 TEST(Router, SigtermDrainsToExitZeroAndReapsWorkers) {

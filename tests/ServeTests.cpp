@@ -642,54 +642,6 @@ TEST(ServeTcp, PerTransportAcceptCloseCounters) {
   EXPECT_EQ(S.waitExit(), 0);
 }
 
-TEST(Serve, SnapshotOpsNeedCacheDir) {
-  auto Lines = runServe("{\"id\": 1, \"op\": \"snapshot_export\"}\n"
-                        "{\"id\": 2, \"op\": \"snapshot_import\", "
-                        "\"snapshot\": \"x\"}\n"
-                        "{\"id\": 3, \"op\": \"shutdown\"}\n");
-  EXPECT_TRUE(contains(replyFor(Lines, "1"), "snapshot ops need"));
-  EXPECT_TRUE(contains(replyFor(Lines, "2"), "snapshot ops need"));
-}
-
-TEST(Serve, SnapshotImportExportRoundTrip) {
-  std::string Dir = freshCacheDir("serve_snapshot");
-  // Two crafted facts import; the next export must be EMPTY — a worker
-  // never echoes imported facts back to the router (the delta baseline
-  // advances past them on import). Malformed and version-skewed blobs are
-  // rejected cleanly, leaving the server alive. One worker answers the
-  // requests in order, so the stats op sees the export before it.
-  auto Lines = runServe(
-      "{\"id\": 1, \"op\": \"snapshot_import\", \"snapshot\": "
-      "\"c4-oracle-snapshot 2\\n+set|0|1|0||\\n-set|0|2|0||\\n\"}\n"
-      "{\"id\": 2, \"op\": \"snapshot_export\"}\n"
-      "{\"id\": 3, \"op\": \"snapshot_import\", \"snapshot\": \"garbage\"}\n"
-      "{\"id\": 4, \"op\": \"snapshot_import\", \"snapshot\": "
-      "\"c4-oracle-snapshot 1\\n+old-format-key\\n\"}\n"
-      "{\"id\": 5, \"op\": \"stats\"}\n"
-      "{\"id\": 6, \"op\": \"shutdown\"}\n",
-      "--workers 1 --cache-dir " + Dir);
-  std::string Imported = replyFor(Lines, "1");
-  EXPECT_TRUE(contains(Imported, "\"ok\": true")) << Imported;
-  EXPECT_TRUE(contains(Imported, "\"imported\": 2")) << Imported;
-  std::string Exported = replyFor(Lines, "2");
-  EXPECT_TRUE(contains(Exported, "\"facts\": 0")) << Exported;
-  EXPECT_TRUE(contains(replyFor(Lines, "3"), "\"ok\": false"));
-  EXPECT_TRUE(contains(replyFor(Lines, "4"), "\"ok\": false"));
-  std::string Stats = replyFor(Lines, "5");
-  EXPECT_EQ(statField(Stats, "snapshot_exports"), 1) << Stats;
-  EXPECT_EQ(statField(Stats, "snapshot_imports"), 1) << Stats;
-  EXPECT_EQ(statField(Stats, "snapshot_facts_imported"), 2) << Stats;
-
-  // The imported facts persist across a restart: a fresh server process on
-  // the same cache directory exports them (its baseline starts empty).
-  auto Warm = runServe("{\"id\": 1, \"op\": \"snapshot_export\"}\n"
-                       "{\"id\": 2, \"op\": \"shutdown\"}\n",
-                       "--cache-dir " + Dir);
-  std::string WarmExport = replyFor(Warm, "1");
-  EXPECT_TRUE(contains(WarmExport, "\"facts\": 2")) << WarmExport;
-  EXPECT_TRUE(contains(WarmExport, "c4-oracle-snapshot 2")) << WarmExport;
-}
-
 TEST(CliCache, UnusableCacheDirStillAnalyzes) {
   // Point --cache-dir at a file: the CLI must warn and run cold with the
   // normal exit code, not fail.

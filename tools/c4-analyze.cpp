@@ -21,11 +21,6 @@
 ///                          independent of the thread count)
 ///     --no-cache           disable the commutativity/absorption
 ///                          memoization oracle (A/B measurements)
-///     --no-prefilter       disable the relational-domain prefilter in
-///                          front of the SMT stage (escape hatch and A/B
-///                          baseline; verdicts are identical either way)
-///     --check-prefilter    cross-check every domain-proven verdict
-///                          against Z3 (slow; exit 4 on any disagreement)
 ///     --rlimit <n>         per-query solver budget in Z3 resource units —
 ///                          deterministic across machines, unlike wall time
 ///                          (0 = wall-clock backstop only)
@@ -42,8 +37,7 @@
 ///                          retries, outcome, wall time)
 ///     --cache-dir <dir>    persistent cross-run cache (created if needed):
 ///                          whole-history verdicts keyed by a content
-///                          fingerprint, plus portable oracle sat-verdicts.
-///                          A warm hit replays the cold run's result and
+///                          fingerprint. A warm hit replays the cold run's result and
 ///                          statistics byte-for-byte; any miss or corrupt
 ///                          entry silently falls back to a cold analysis
 ///     --incremental-cache <dir>
@@ -53,9 +47,9 @@
 ///                          content digests, so after an edit only the
 ///                          queries touching the edited transaction are
 ///                          re-solved (verdicts are identical either way)
-///     --no-incremental     keep the verdict/oracle layers of
-///                          --incremental-cache but disable the incremental
-///                          record layer (A/B baseline)
+///     --no-incremental     keep the verdict layer of --incremental-cache
+///                          but disable the incremental record layer (A/B
+///                          baseline)
 ///     --seed <n>           RNG seed for --simulate (default 0xC4C4)
 ///     --simulate <n>       additionally execute n randomized workloads on
 ///                          the causal-store simulator and report how often
@@ -75,9 +69,7 @@
 ///
 /// Exit codes: 0 clean, 1 serializability violation reported (takes
 /// precedence over --werror), 2 usage or compile error, 3 lint warnings
-/// present under --werror (and no violation), 4 prefilter disagreement
-/// detected under --check-prefilter (takes precedence over everything —
-/// it indicates an analyzer bug, not a property of the input).
+/// present under --werror (and no violation).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,8 +93,7 @@ static int usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s [--no-filter] [--no-commutativity] "
                "[--no-absorption] [--no-constraints] [--no-control-flow] "
-               "[--no-asymmetric] [--no-unique] [--no-cache] "
-               "[--no-prefilter] [--check-prefilter] [--max-k N] "
+               "[--no-asymmetric] [--no-unique] [--no-cache] [--max-k N] "
                "[--threads N] [--rlimit N] [--rlimit-cap N] [--retries N] "
                "[--smt-timeout-ms N] [--deadline-ms N] [--dfs-budget N] "
                "[--trace FILE] [--cache-dir DIR] [--incremental-cache DIR] "
@@ -166,10 +157,6 @@ int main(int Argc, char **Argv) {
       Options.Features.UniqueValues = false;
     } else if (!std::strcmp(Arg, "--no-cache")) {
       Options.UseOracle = false;
-    } else if (!std::strcmp(Arg, "--no-prefilter")) {
-      Options.UsePrefilter = false;
-    } else if (!std::strcmp(Arg, "--check-prefilter")) {
-      Options.CheckPrefilter = true;
     } else if (!std::strcmp(Arg, "--max-k")) {
       if (I + 1 == Argc || !parseCount(Arg, Argv[++I], Options.MaxK))
         return usage(Argv[0]);
@@ -306,8 +293,9 @@ int main(int Argc, char **Argv) {
   if (TracePath)
     Options.Trace = &Trace;
 
-  // The persistent cross-run cache (verdicts + oracle sat-snapshots). A
-  // directory that cannot be created degrades to a plain cold run.
+  // The persistent cross-run cache (verdicts, plus incremental records
+  // with --incremental-cache). A directory that cannot be created degrades
+  // to a plain cold run.
   std::unique_ptr<AnalysisCache> Cache;
   if (CacheDir) {
     Cache = std::make_unique<AnalysisCache>(CacheDir, IncrementalCache);
@@ -381,13 +369,6 @@ int main(int Argc, char **Argv) {
     std::printf("simulation: %u of %u randomized executions exhibited a "
                 "DSG cycle dynamically (seed 0x%X)\n",
                 Detected, SimulateTrials, Seed);
-  }
-  if (R.PrefilterDisagreements > 0) {
-    std::fprintf(stderr,
-                 "error: %u prefilter disagreement(s) with Z3 — the "
-                 "relational domain is unsound on this input\n",
-                 R.PrefilterDisagreements);
-    return 4;
   }
   if (!R.Violations.empty())
     return 1;

@@ -34,38 +34,32 @@
 ///     --incremental-cache <dir>
 ///                            like --cache-dir but workers also run their
 ///                            incremental layers
-///     --snapshot-interval-ms <n>
-///                            shared-snapshot exchange period (0 disables
-///                            sharing; default 1000)
 ///
 /// Workers always run with a cache directory (a private temp one if the
-/// caller gave none): the oracle snapshot layer is what the shared cache
-/// tier rides on. Every interval the router asks each worker for its
-/// `snapshot_export` delta, merges the deltas into one global snapshot, and
-/// broadcasts the per-worker missing facts back via `snapshot_import` — a
-/// commutativity/absorption fact proven by one worker is never re-proven by
-/// any other. Router stats expose the tier as `snapshot_broadcasts` /
-/// `snapshot_facts_imported` / `snapshot_facts`.
+/// caller gave none), so each keeps a verdict cache for its shard; their
+/// Unix sockets live in the root directory next to the per-worker cache
+/// directories. Workers share nothing with each other.
 ///
 /// Supervision: a worker that exits (crash or kill) is restarted with
 /// bounded exponential backoff; its in-flight requests are re-routed to
-/// surviving workers, so clients see slower replies, never dropped ones. A
-/// worker that stops answering snapshot exports for three consecutive
-/// intervals is declared wedged and killed (then restarted). A restarted
-/// worker reconnects, receives the full global snapshot, and rejoins the
-/// rendezvous ring — only its own shard moves back.
+/// surviving workers, so clients see slower replies, never dropped ones.
+/// Every second the router sends each worker a `ping`, which c4-serve
+/// answers on its event-loop thread even under full analysis load. A
+/// worker sitting on three unanswered pings, the oldest sent at least 15 s
+/// ago, is declared wedged and killed (then restarted). A restarted worker
+/// reconnects and rejoins the rendezvous ring — only its own shard moves
+/// back.
 ///
 /// Control ops are answered by the router itself: ping and stats (fleet
 /// shape, per-worker detail including pids — harnesses use this for fault
 /// injection) never touch a worker. shutdown, SIGTERM or SIGINT start the
-/// graceful drain: stop accepting, deliver all in-flight replies, run one
-/// final snapshot exchange, then SIGTERM the workers and reap them. Past
-/// --drain-timeout-ms everything still alive is SIGKILLed. Exit 0 on a
-/// clean drain, 2 on usage/setup errors.
+/// graceful drain: stop accepting, deliver all in-flight replies, then
+/// SIGTERM the workers and reap them. Past --drain-timeout-ms everything
+/// still alive is SIGKILLed. Exit 0 on a clean drain, 2 on usage/setup
+/// errors.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "spec/CommutativityCache.h"
 #include "support/EventLoop.h"
 #include "support/Json.h"
 #include "support/Rendezvous.h"
@@ -109,7 +103,7 @@ int usage(const char *Prog) {
       "usage: %s [--workers N] [--worker-threads N] [--serve-bin PATH]\n"
       "          [--socket PATH] [--tcp HOST:PORT] [--max-inflight N]\n"
       "          [--drain-timeout-ms MS] [--cache-dir DIR]\n"
-      "          [--incremental-cache DIR] [--snapshot-interval-ms MS]\n",
+      "          [--incremental-cache DIR]\n",
       Prog);
   return 2;
 }
@@ -142,19 +136,18 @@ constexpr unsigned kConnectGraceMs = 10000;
 /// Restart backoff bounds: first retry after kBackoffMinMs, doubling per
 /// consecutive failure up to kBackoffMaxMs.
 constexpr unsigned kBackoffMinMs = 100, kBackoffMaxMs = 5000;
-/// Unanswered snapshot_export cycles before a worker counts as wedged —
-/// and the minimum time those exports must have been outstanding. Both
-/// must hold: the cycle count alone is no evidence at small
-/// --snapshot-interval-ms values, where an oversubscribed (CPU-starved
-/// but healthy) worker can sit on several cycles' worth of unanswered
-/// control ops while its analysis threads chew through real work.
-constexpr unsigned kWedgedExports = 3;
+/// Period of the liveness probe: one `ping` per live worker.
+constexpr unsigned kPingIntervalMs = 1000;
+/// Unanswered pings before a worker counts as wedged — and the minimum
+/// time the oldest of them must have been outstanding. Both must hold: an
+/// oversubscribed (CPU-starved but healthy) worker can sit on a few
+/// unanswered control ops while its analysis threads chew through real
+/// work.
+constexpr unsigned kWedgedPings = 3;
 constexpr unsigned kWedgedGraceMs = 15000;
 /// A request is failed back to the client after riding through this many
 /// worker deaths (a request that *causes* crashes must not cycle forever).
 constexpr unsigned kMaxRouteAttempts = 6;
-/// Budget for the final pre-exit snapshot exchange during drain.
-constexpr unsigned kFinalFlushMs = 2000;
 
 std::string renderId(const JsonValue *Id) {
   if (Id) {
@@ -299,22 +292,16 @@ struct Worker {
   Clock::time_point ConnectBy{}; ///< spawn → backhaul-up grace
   std::set<uint64_t> InFlight;   ///< internal seqs routed here
   uint64_t Routed = 0;
-  unsigned PendingExports = 0; ///< unanswered snapshot_export ops
-  /// When the oldest still-unanswered export was sent (meaningful only
-  /// while PendingExports > 0); the wedged check needs elapsed time, not
-  /// just a cycle count.
-  std::chrono::steady_clock::time_point ExportStalledSince;
-  /// Facts the router believes this worker holds (its own exports plus
-  /// everything broadcast to it). Broadcast = Global − Known. Reset on
-  /// restart, so a fresh worker receives the full global snapshot.
-  OracleSnapshot Known;
+  /// Send times of the unanswered pings, oldest first. The worker answers
+  /// pings in order, so each reply retires the front.
+  std::deque<Clock::time_point> UnansweredPings;
 
   size_t unsent() const { return WriteBuf.size() - WriteOff; }
 };
 
-/// One routed request (or internal snapshot op) awaiting a worker reply.
+/// One routed request (or liveness ping) awaiting a worker reply.
 struct Pending {
-  enum KindTy { ClientReq, SnapExport, SnapImport } Kind = ClientReq;
+  enum KindTy { ClientReq, Ping } Kind = ClientReq;
   uint64_t ConnId = 0;   ///< ClientReq: owning client connection
   std::string OrigId;    ///< ClientReq: the client's rendered id
   std::string Line;      ///< ClientReq: rewritten line, kept for re-routing
@@ -328,7 +315,6 @@ struct RouterConfig {
   unsigned WorkerThreads = 0;
   unsigned MaxInflight = 256;
   unsigned DrainTimeoutMs = 30000;
-  unsigned SnapshotIntervalMs = 1000;
   std::string ServeBin;
   std::string RunDir;        ///< sockets + stderr logs + default caches
   bool TempRunDir = false;   ///< RunDir is ours to delete on exit
@@ -484,9 +470,7 @@ public:
       W.CacheDir = Cfg.RunDir + "/worker-" + std::to_string(I);
       spawnWorker(W);
     }
-    if (Cfg.SnapshotIntervalMs)
-      NextSnapshotAt = Clock::now() +
-                       std::chrono::milliseconds(Cfg.SnapshotIntervalMs);
+    NextPingAt = Clock::now() + std::chrono::milliseconds(kPingIntervalMs);
 
     for (;;) {
       tick();
@@ -603,12 +587,10 @@ private:
     W.ReadBuf.clear();
     W.WriteBuf.clear();
     W.WriteOff = 0;
-    W.PendingExports = 0;
+    W.UnansweredPings.clear();
     unsigned Idx = W.Index;
     Loop.add(Fd, EventLoop::Read,
              [this, Idx](unsigned Ev) { workerEvent(Idx, Ev); });
-    // A (re)started worker knows nothing: ship the full global snapshot.
-    broadcastTo(W);
     routeQueued();
   }
 
@@ -634,8 +616,7 @@ private:
     W.ReadBuf.clear();
     W.WriteBuf.clear();
     W.WriteOff = 0;
-    W.PendingExports = 0;
-    W.Known = OracleSnapshot();
+    W.UnansweredPings.clear();
     std::vector<uint64_t> Orphans(W.InFlight.begin(), W.InFlight.end());
     W.InFlight.clear();
     unsigned Requeued = 0;
@@ -645,7 +626,7 @@ private:
         continue;
       Pending &P = It->second;
       if (P.Kind != Pending::ClientReq) {
-        Pendings.erase(It); // snapshot ops die with the worker
+        Pendings.erase(It); // pings die with the worker
         continue;
       }
       P.WorkerIdx = -1;
@@ -828,7 +809,7 @@ private:
   }
 
   /// A full line from a worker: either a reply to a routed client request
-  /// (relayed with the original id restored) or to an internal snapshot op.
+  /// (relayed with the original id restored) or to a liveness ping.
   void workerReply(Worker &W, const std::string &Line) {
     uint64_t Seq = 0;
     size_t RestPos = 0;
@@ -841,17 +822,11 @@ private:
       ++RelayErrors; // stale reply from before a re-route
       return;
     }
-    if (It->second.Kind == Pending::SnapExport) {
+    if (It->second.Kind == Pending::Ping) {
       Pendings.erase(It);
       W.InFlight.erase(Seq);
-      if (W.PendingExports)
-        --W.PendingExports;
-      mergeExport(W, Line);
-      return;
-    }
-    if (It->second.Kind == Pending::SnapImport) {
-      Pendings.erase(It);
-      W.InFlight.erase(Seq);
+      if (!W.UnansweredPings.empty())
+        W.UnansweredPings.pop_front();
       return;
     }
     Pending P = std::move(It->second);
@@ -872,85 +847,38 @@ private:
   }
 
   //===--------------------------------------------------------------------===
-  // Shared snapshot tier
+  // Liveness probe
   //===--------------------------------------------------------------------===
 
   uint64_t nextSeq() { return ++NextSeqNum; }
 
-  void requestExport(Worker &W) {
-    uint64_t Seq = nextSeq();
-    Pending P;
-    P.Kind = Pending::SnapExport;
-    P.WorkerIdx = static_cast<int>(W.Index);
-    Pendings.emplace(Seq, std::move(P));
-    W.InFlight.insert(Seq);
-    if (++W.PendingExports == 1)
-      W.ExportStalledSince = std::chrono::steady_clock::now();
-    sendToWorker(W, "{\"id\": " + std::to_string(Seq) +
-                        ", \"op\": \"snapshot_export\"}");
-  }
-
-  /// Folds one worker's export reply into the global snapshot.
-  void mergeExport(Worker &W, const std::string &Line) {
-    std::string Err;
-    std::optional<JsonValue> Reply = parseJson(Line, Err);
-    if (!Reply)
-      return;
-    const JsonValue *Snap = Reply->get("snapshot");
-    const std::string *Blob = Snap ? Snap->asString() : nullptr;
-    if (!Blob)
-      return; // e.g. an error reply from a cacheless worker
-    std::optional<OracleSnapshot> S = OracleSnapshot::deserialize(*Blob);
-    if (!S)
-      return; // version skew degrades to no sharing for this worker
-    size_t Before = Global.size();
-    Global.merge(*S);
-    SnapshotFactsImported += Global.size() - Before;
-    W.Known.merge(*S); // the exporter obviously holds its own facts
-  }
-
-  /// Ships a worker the global facts it is missing.
-  void broadcastTo(Worker &W) {
-    if (!W.Up)
-      return;
-    OracleSnapshot Delta = Global.deltaSince(W.Known);
-    if (Delta.empty())
-      return;
-    uint64_t Seq = nextSeq();
-    Pending P;
-    P.Kind = Pending::SnapImport;
-    P.WorkerIdx = static_cast<int>(W.Index);
-    Pendings.emplace(Seq, std::move(P));
-    W.InFlight.insert(Seq);
-    sendToWorker(W, "{\"id\": " + std::to_string(Seq) +
-                        ", \"op\": \"snapshot_import\", \"snapshot\": \"" +
-                        jsonEscape(Delta.serialize()) + "\"}");
-    W.Known.merge(Delta);
-    ++SnapshotBroadcasts;
-  }
-
-  /// One periodic exchange: broadcast what each worker is missing, then ask
-  /// everyone for their latest delta. A worker sitting on unanswered
-  /// exports for kWedgedExports cycles AND kWedgedGraceMs of wall clock is
-  /// wedged (not merely idle or CPU-starved — the control channel is
-  /// answered inline even under full analysis load) and is killed.
-  void snapshotCycle() {
-    auto Now = std::chrono::steady_clock::now();
+  /// One probe round: kill every wedged worker, ping the rest. A worker is
+  /// wedged when it sits on kWedgedPings unanswered pings, the oldest sent
+  /// at least kWedgedGraceMs ago (not merely busy or CPU-starved — pings
+  /// are answered inline even under full analysis load).
+  void pingWorkers(Clock::time_point Now) {
     for (Worker &W : Fleet) {
       if (!W.Up)
         continue;
-      if (W.PendingExports >= kWedgedExports &&
-          Now - W.ExportStalledSince >=
+      if (W.UnansweredPings.size() >= kWedgedPings &&
+          Now - W.UnansweredPings.front() >=
               std::chrono::milliseconds(kWedgedGraceMs)) {
         std::fprintf(stderr,
-                     "c4-router: worker %u unresponsive for %u snapshot "
-                     "cycles, killing it\n",
-                     W.Index, W.PendingExports);
+                     "c4-router: worker %u unresponsive to %zu pings, "
+                     "killing it\n",
+                     W.Index, W.UnansweredPings.size());
         killWorker(W);
         continue;
       }
-      broadcastTo(W);
-      requestExport(W);
+      uint64_t Seq = nextSeq();
+      Pending P;
+      P.Kind = Pending::Ping;
+      P.WorkerIdx = static_cast<int>(W.Index);
+      Pendings.emplace(Seq, std::move(P));
+      W.InFlight.insert(Seq);
+      W.UnansweredPings.push_back(Now);
+      sendToWorker(W, "{\"id\": " + std::to_string(Seq) +
+                          ", \"op\": \"ping\"}");
     }
   }
 
@@ -1127,10 +1055,6 @@ private:
            ", \"replies_dropped\": " + std::to_string(DroppedReplies) +
            ", \"rerouted_requests\": " + std::to_string(ReroutedRequests) +
            ", \"relay_errors\": " + std::to_string(RelayErrors) +
-           ", \"snapshot_broadcasts\": " + std::to_string(SnapshotBroadcasts) +
-           ", \"snapshot_facts_imported\": " +
-           std::to_string(SnapshotFactsImported) +
-           ", \"snapshot_facts\": " + std::to_string(Global.size()) +
            ", \"workers_detail\": " + Detail + "}";
   }
 
@@ -1201,7 +1125,7 @@ private:
   //===--------------------------------------------------------------------===
 
   /// Time-driven duties, run before every poll: reconnect/restart workers,
-  /// run snapshot cycles, advance the drain state machine.
+  /// probe their liveness, advance the drain state machine.
   void tick() {
     Clock::time_point Now = Clock::now();
     for (Worker &W : Fleet) {
@@ -1210,10 +1134,9 @@ private:
       if (W.Spawned && !W.Up)
         tryConnect(W);
     }
-    if (!Draining && Cfg.SnapshotIntervalMs && Now >= NextSnapshotAt) {
-      snapshotCycle();
-      NextSnapshotAt =
-          Now + std::chrono::milliseconds(Cfg.SnapshotIntervalMs);
+    if (!Draining && Now >= NextPingAt) {
+      pingWorkers(Now);
+      NextPingAt = Now + std::chrono::milliseconds(kPingIntervalMs);
     }
     if (Draining)
       drainStep(Now);
@@ -1223,7 +1146,7 @@ private:
     if (Draining)
       return;
     Draining = true;
-    DrainHard = DrainStopWorkers = FinalFlushStarted = false;
+    DrainHard = DrainStopWorkers = false;
     if (Cfg.DrainTimeoutMs)
       DrainBy = Clock::now() + std::chrono::milliseconds(Cfg.DrainTimeoutMs);
     else
@@ -1267,32 +1190,14 @@ private:
           ::kill(W.Pid, SIGKILL);
       return;
     }
-    if (!FinalFlushStarted && clientWorkDone()) {
-      // All clients answered: one last exchange so every fact proven this
-      // session reaches every worker's disk cache before they exit.
-      FinalFlushStarted = true;
-      FinalFlushBy = Now + std::chrono::milliseconds(kFinalFlushMs);
-      for (Worker &W : Fleet)
-        if (W.Up)
-          requestExport(W);
-      return;
-    }
-    if (FinalFlushStarted && !DrainStopWorkers) {
-      bool ExportsDone = true;
-      for (const Worker &W : Fleet)
-        if (W.Up && W.PendingExports)
-          ExportsDone = false;
-      if (ExportsDone || Now >= FinalFlushBy) {
-        for (Worker &W : Fleet)
-          if (W.Up)
-            broadcastTo(W); // final deltas ride out with the SIGTERM
-        for (Worker &W : Fleet) {
-          flushWorker(W);
-          if (W.Spawned && W.Pid > 0)
-            ::kill(W.Pid, SIGTERM);
-        }
-        DrainStopWorkers = true;
+    if (!DrainStopWorkers && clientWorkDone()) {
+      // All clients answered: stop the workers.
+      for (Worker &W : Fleet) {
+        flushWorker(W);
+        if (W.Spawned && W.Pid > 0)
+          ::kill(W.Pid, SIGTERM);
       }
+      DrainStopWorkers = true;
     }
   }
 
@@ -1326,13 +1231,11 @@ private:
       if (W.Spawned && !W.Up)
         Next = std::min(Next, Now + std::chrono::milliseconds(50));
     }
-    if (!Draining && Cfg.SnapshotIntervalMs)
-      Next = std::min(Next, NextSnapshotAt);
+    if (!Draining)
+      Next = std::min(Next, NextPingAt);
     if (Draining) {
       if (DrainBy != Clock::time_point::max())
         Next = std::min(Next, DrainBy);
-      if (FinalFlushStarted && !DrainStopWorkers)
-        Next = std::min(Next, FinalFlushBy);
       // Reaping and drain progress piggyback on wakeups; never sleep long.
       Next = std::min(Next, Now + std::chrono::milliseconds(100));
     }
@@ -1356,18 +1259,15 @@ private:
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> Conns;
   std::unordered_map<uint64_t, Pending> Pendings;
   std::deque<uint64_t> RouteQueue; ///< seqs waiting for a live worker
-  OracleSnapshot Global;           ///< union of every worker's exports
 
   uint64_t NextConnId = 0, NextSeqNum = 0;
   uint64_t Connections = 0, RequestsRouted = 0, RepliesRelayed = 0;
   uint64_t DroppedReplies = 0, ReroutedRequests = 0, RelayErrors = 0;
   uint64_t WorkerRestarts = 0;
-  uint64_t SnapshotBroadcasts = 0, SnapshotFactsImported = 0;
 
-  Clock::time_point NextSnapshotAt = Clock::time_point::max();
-  bool Draining = false, DrainHard = false;
-  bool FinalFlushStarted = false, DrainStopWorkers = false;
-  Clock::time_point DrainBy{}, FinalFlushBy{};
+  Clock::time_point NextPingAt = Clock::time_point::max();
+  bool Draining = false, DrainHard = false, DrainStopWorkers = false;
+  Clock::time_point DrainBy{};
 };
 
 /// The directory holding this executable, for the --serve-bin default.
@@ -1404,10 +1304,6 @@ int main(int Argc, char **Argv) {
         return usage(Argv[0]);
     } else if (!std::strcmp(Arg, "--drain-timeout-ms")) {
       if (I + 1 == Argc || !parseCount(Arg, Argv[++I], Cfg.DrainTimeoutMs))
-        return usage(Argv[0]);
-    } else if (!std::strcmp(Arg, "--snapshot-interval-ms")) {
-      if (I + 1 == Argc ||
-          !parseCount(Arg, Argv[++I], Cfg.SnapshotIntervalMs))
         return usage(Argv[0]);
     } else if (!std::strcmp(Arg, "--serve-bin")) {
       if (I + 1 == Argc)

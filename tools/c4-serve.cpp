@@ -11,8 +11,8 @@
 /// request carrying the same verdict/stats object `c4-analyze --stats-json`
 /// prints. Amortizes across requests everything a one-shot CLI run pays per
 /// invocation: process start-up, Z3 context construction (one env per
-/// worker thread, reused), oracle warm-up and — with --cache-dir — the
-/// entire back end for previously seen (program, options) pairs.
+/// worker thread, reused) and — with --cache-dir — the entire back end for
+/// previously seen (program, options) pairs.
 ///
 ///   c4-serve [options]
 ///     --workers <n>          request-level worker threads (0 = hardware
@@ -51,21 +51,16 @@
 /// "retries", "smt_timeout_ms", "deadline_ms", "dfs_budget", and booleans
 /// "no_passes", "no_filter", "no_cache", "no_commutativity",
 /// "no_absorption", "no_constraints", "no_control_flow", "no_asymmetric",
-/// "no_unique", "no_prefilter", "no_incremental". Unlike the CLI, "threads"
-/// defaults to 1:
-/// request-level
-/// parallelism comes from --workers, and multiplying the two oversubscribes.
+/// "no_unique", "no_incremental". Unlike the CLI, "threads" defaults to 1:
+/// request-level parallelism comes from --workers, and multiplying the two
+/// oversubscribes.
 ///
-/// Control requests: {"op": "ping"}, {"op": "stats"} (cache + serving
-/// counters, including per-transport accept/close counts so a supervisor
-/// can tell an idle worker from a wedged one), {"op": "shutdown"} (drain
-/// outstanding work, reply, exit), and — with a cache configured — the
-/// snapshot-sharing pair used by the sharded tier (tools/c4-router):
-/// {"op": "snapshot_export"} returns the oracle facts accumulated since the
-/// previous export as a serialized OracleSnapshot delta, and
-/// {"op": "snapshot_import", "snapshot": "<blob>"} merges a peer's delta
-/// (full or partial; a version-skewed blob is rejected with an error reply,
-/// never partially applied).
+/// Control requests: {"op": "ping"} (answered on the event-loop thread even
+/// under full analysis load, so tools/c4-router uses it as its liveness
+/// probe), {"op": "stats"} (cache + serving counters, including
+/// per-transport accept/close counts so a supervisor can tell an idle
+/// worker from a wedged one) and {"op": "shutdown"} (drain outstanding
+/// work, reply, exit).
 ///
 /// Reply (one line, completion order — match replies to requests by the
 /// echoed "id", not by position):
@@ -164,9 +159,6 @@ struct ServerCounters {
   /// (accepts frozen while its peers' move) without guessing from totals.
   std::atomic<uint64_t> UnixAccepts{0}, UnixCloses{0};
   std::atomic<uint64_t> TcpAccepts{0}, TcpCloses{0};
-  /// Snapshot-sharing ops served (sharded tier).
-  std::atomic<uint64_t> SnapshotExports{0}, SnapshotImports{0};
-  std::atomic<uint64_t> SnapshotFactsImported{0}; ///< new facts merged
 };
 
 /// Renders a request id for echoing. Only strings and integers are
@@ -248,15 +240,12 @@ std::string statsReply(const std::string &Id, AnalysisCache *Cache,
       "\"backend_runs\": %llu, \"single_flight_waits\": %llu, "
       "\"disk_hits\": %llu, \"disk_misses\": %llu, "
       "\"disk_corrupt\": %llu, \"disk_stores\": %llu, "
-      "\"oracle_entries\": %zu, "
       "\"incremental_enabled\": %s, \"incremental_records\": %zu, "
       "\"incremental_txns\": %zu, "
       "\"connections\": %llu, \"replies_dropped\": %llu, "
       "\"overload_rejects\": %llu, "
       "\"unix_accepts\": %llu, \"unix_closes\": %llu, "
-      "\"tcp_accepts\": %llu, \"tcp_closes\": %llu, "
-      "\"snapshot_exports\": %llu, \"snapshot_imports\": %llu, "
-      "\"snapshot_facts_imported\": %llu}",
+      "\"tcp_accepts\": %llu, \"tcp_closes\": %llu}",
       Id.c_str(), Cache && Cache->enabled() ? "true" : "false",
       static_cast<unsigned long long>(Cache ? Cache->verdictHits() : 0),
       static_cast<unsigned long long>(Cache ? Cache->verdictMisses() : 0),
@@ -265,8 +254,7 @@ std::string statsReply(const std::string &Id, AnalysisCache *Cache,
       static_cast<unsigned long long>(D.Hits),
       static_cast<unsigned long long>(D.Misses),
       static_cast<unsigned long long>(D.Corrupt),
-      static_cast<unsigned long long>(D.Stores),
-      Cache ? Cache->oracleEntries() : size_t(0), Incr ? "true" : "false",
+      static_cast<unsigned long long>(D.Stores), Incr ? "true" : "false",
       Incr ? Cache->incrRecords() : size_t(0),
       Incr ? Cache->incrTxns() : size_t(0),
       static_cast<unsigned long long>(SC.Connections.load()),
@@ -275,18 +263,15 @@ std::string statsReply(const std::string &Id, AnalysisCache *Cache,
       static_cast<unsigned long long>(SC.UnixAccepts.load()),
       static_cast<unsigned long long>(SC.UnixCloses.load()),
       static_cast<unsigned long long>(SC.TcpAccepts.load()),
-      static_cast<unsigned long long>(SC.TcpCloses.load()),
-      static_cast<unsigned long long>(SC.SnapshotExports.load()),
-      static_cast<unsigned long long>(SC.SnapshotImports.load()),
-      static_cast<unsigned long long>(SC.SnapshotFactsImported.load()));
+      static_cast<unsigned long long>(SC.TcpCloses.load()));
   return Buf;
 }
 
-/// Replies for the cheap control operations (ping / stats / snapshot
-/// exchange / unknown op). Callers intercept "shutdown" before getting
-/// here — it needs the serving loop's drain machinery, not a worker.
+/// Replies for the cheap control operations (ping / stats / unknown op).
+/// Callers intercept "shutdown" before getting here — it needs the serving
+/// loop's drain machinery, not a worker.
 std::string controlReply(const JsonValue &Req, const std::string &Id,
-                         AnalysisCache *Cache, ServerCounters &SC) {
+                         AnalysisCache *Cache, const ServerCounters &SC) {
   const JsonValue *Op = Req.get("op");
   const std::string *Name = Op ? Op->asString() : nullptr;
   if (!Name)
@@ -295,31 +280,6 @@ std::string controlReply(const JsonValue &Req, const std::string &Id,
     return "{\"id\": " + Id + ", \"ok\": true, \"pong\": true}";
   if (*Name == "stats")
     return statsReply(Id, Cache, SC);
-  if (*Name == "snapshot_export") {
-    if (!Cache)
-      return errorReply(Id, "snapshot ops need --cache-dir");
-    size_t Facts = 0;
-    std::string Blob = Cache->exportOracleDelta(Facts);
-    ++SC.SnapshotExports;
-    return "{\"id\": " + Id + ", \"ok\": true, \"facts\": " +
-           std::to_string(Facts) + ", \"snapshot\": \"" + jsonEscape(Blob) +
-           "\"}";
-  }
-  if (*Name == "snapshot_import") {
-    if (!Cache)
-      return errorReply(Id, "snapshot ops need --cache-dir");
-    const JsonValue *Snap = Req.get("snapshot");
-    const std::string *Blob = Snap ? Snap->asString() : nullptr;
-    if (!Blob)
-      return errorReply(Id, "snapshot expects a string");
-    std::optional<size_t> Imported = Cache->importOracleBlob(*Blob);
-    if (!Imported)
-      return errorReply(Id, "malformed or version-skewed snapshot");
-    ++SC.SnapshotImports;
-    SC.SnapshotFactsImported += *Imported;
-    return "{\"id\": " + Id + ", \"ok\": true, \"imported\": " +
-           std::to_string(*Imported) + "}";
-  }
   return errorReply(Id, "unknown op '" + *Name + "'");
 }
 
@@ -382,8 +342,7 @@ std::string handleRequest(const std::string &Line, AnalysisCache *Cache,
   Options.NumThreads = 1;
   bool NoFilter = false, NoPasses = false, NoCache = false;
   bool NoCom = false, NoAbs = false, NoCons = false, NoCf = false,
-       NoAsym = false, NoUnique = false, NoPrefilter = false,
-       NoIncremental = false;
+       NoAsym = false, NoUnique = false, NoIncremental = false;
   unsigned Rlimit = 0, RlimitCap = 0;
   bool HaveRlimit = Req->get("rlimit") != nullptr;
   bool HaveRlimitCap = Req->get("rlimit_cap") != nullptr;
@@ -404,7 +363,6 @@ std::string handleRequest(const std::string &Line, AnalysisCache *Cache,
       !readFlag(*Req, "no_control_flow", NoCf, Err) ||
       !readFlag(*Req, "no_asymmetric", NoAsym, Err) ||
       !readFlag(*Req, "no_unique", NoUnique, Err) ||
-      !readFlag(*Req, "no_prefilter", NoPrefilter, Err) ||
       !readFlag(*Req, "no_incremental", NoIncremental, Err))
     return errorReply(Id, Err);
   if (Options.MaxK < 1)
@@ -424,7 +382,6 @@ std::string handleRequest(const std::string &Line, AnalysisCache *Cache,
   Options.Features.ControlFlow = !NoCf;
   Options.Features.AsymmetricAntiDeps = !NoAsym;
   Options.Features.UniqueValues = !NoUnique;
-  Options.UsePrefilter = !NoPrefilter;
   Options.UseIncremental = !NoIncremental;
 
   // Per-request deadline: DeadlineMs still describes the budget (it is part
