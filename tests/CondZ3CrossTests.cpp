@@ -271,10 +271,13 @@ TEST(CondZ3Cross, CompleteOnEqualityConditions) {
   EXPECT_EQ(Agreements, 400u);
 }
 
+// The DomainZ3Fuzz cases range over the whole fact domain: Unique facts
+// (which the tests above never generate) alongside constants and shared
+// symbols.
 
-// With Unique facts in play (which the tests above never generate) the
-// engine's unsat claims must still be sound against the Z3 reference.
-TEST(CondZ3Cross, CongruenceSoundWithUniqueFacts) {
+// With Unique facts in play the engine's unsat claims must still be sound
+// against the Z3 reference.
+TEST(DomainZ3Fuzz, CongruenceSoundWithUniqueFacts) {
   Rng R(0xD0A1);
   unsigned CCUnsat = 0;
   for (int Trial = 0; Trial != 1500; ++Trial) {
@@ -285,6 +288,21 @@ TEST(CondZ3Cross, CongruenceSoundWithUniqueFacts) {
     ++CCUnsat;
     EXPECT_FALSE(z3Satisfiable(C, Src, Tgt))
         << "CC-SAT unsound on " << C.str();
+  }
+  EXPECT_GT(CCUnsat, 100u);
+}
+
+// Equality-only conditions with Unique facts: the engine agrees with Z3
+// exactly, extending CompleteOnEqualityConditions to fresh identities.
+TEST(DomainZ3Fuzz, DecidesEqualityConditionsExactly) {
+  Rng R(0xD0A2);
+  unsigned CCUnsat = 0;
+  for (int Trial = 0; Trial != 1000; ++Trial) {
+    Cond C = randCond(R, 3, /*EqOnly=*/true);
+    EventFacts Src = randFactsU(R), Tgt = randFactsU(R);
+    bool CCSays = C.satisfiableUnder(Src, Tgt);
+    EXPECT_EQ(CCSays, z3Satisfiable(C, Src, Tgt)) << C.str();
+    CCUnsat += !CCSays;
   }
   EXPECT_GT(CCUnsat, 100u);
 }
