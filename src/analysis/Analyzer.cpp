@@ -16,12 +16,10 @@
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 
 using namespace c4;
@@ -62,13 +60,28 @@ public:
   void execute(AnalysisResult &R);
 
 private:
-  bool subsumed(const Unfolding &U, const std::vector<Violation> &V) const;
   /// Runs one bounded round; returns false when the analysis deadline
   /// expired before every unfolding of the round was conclusively handled
   /// (the remainder is counted in AnalysisResult::UnfoldingsDeferred and
   /// the round must not count towards KChecked).
   bool checkBounded(unsigned K, AnalysisResult &R,
                     const std::vector<unsigned> &Universe);
+  /// One ϕ_cyclic query (paper §7) and its outcome: a bounded round's
+  /// unfolding against its candidate cycles, or one chunk of §7.2 spanning
+  /// segments. A bounded cycle carries a validated counter-example; a
+  /// generalization cycle only blocks the claim, so it is replayed and
+  /// recorded without a witness.
+  struct Query {
+    bool Bounded = true;
+    UnfoldingResult Res;
+    SolveTelemetry Tel;
+    bool Reused = false; ///< replayed from a persisted incremental record;
+                         ///< the solve was skipped
+    bool CEValid = false;
+    double SmtSec = 0, IncrSec = 0, ValidateSec = 0;
+
+    const char *stage() const { return Bounded ? "bounded" : "generalize"; }
+  };
   /// One worker unit of the bounded check: SSG + candidate cycles + SMT for
   /// a single unfolding. Pure apart from the shared oracle (thread-safe).
   struct UnfoldingOutcome {
@@ -77,12 +90,8 @@ private:
     bool Cancelled = false;   ///< deadline expired before the solve started
     bool CandTruncated = false;
     bool Flagged = false; ///< the instantiated SSG admitted candidates
-    bool Reused = false; ///< replayed from a persisted incremental record;
-                         ///< the solve was skipped
-    UnfoldingResult Res;
-    SolveTelemetry Tel;
-    bool CEValid = false;
-    double SSGSec = 0, SmtSec = 0, IncrSec = 0, ValidateSec = 0;
+    Query Q;
+    double SSGSec = 0;
   };
   /// Coordination between the workers and the commit loop of one parallel
   /// bounded round, guarded by Mu.
@@ -102,17 +111,24 @@ private:
   /// violations, after waiting for the commit of every earlier unfolding
   /// whose published cycle lies inside \p U's transactions.
   bool heldBack(const Unfolding &U, size_t Index, CommitState &CS) const;
-  /// Replays incremental record \p Rec into \p Out; false when the record
-  /// cannot be replayed (a cycle without a witness that fits).
-  bool replay(const IncrRecord &Rec, const Unfolding &U,
-              const std::vector<CandidateCycle> &Cands,
-              UnfoldingOutcome &Out) const;
-  /// Folds a worker outcome's stage timers into the run's.
-  void addStageTimes(const UnfoldingOutcome &Out) {
-    SSGSec += Out.SSGSec;
-    SmtSec += Out.SmtSec;
-    IncrSec += Out.IncrSec;
-    ValidateSec += Out.ValidateSec;
+  /// Answers \p Q for \p U against \p Cands: the incremental record lookup,
+  /// then a replay of the record or a call of \p Solve, then the record of
+  /// a conclusive fresh outcome. On parallel rounds (\p CS set) a solve is
+  /// first held back as heldBack() says; false when it was (\p Q is left
+  /// unanswered).
+  bool query(Query &Q, const Unfolding &U,
+             const std::vector<CandidateCycle> &Cands,
+             const std::function<UnfoldingResult(SolveTelemetry *)> &Solve,
+             CommitState *CS = nullptr, size_t Index = 0);
+  /// Charges an answered query's solver counters and trace line to \p R.
+  /// \p K / \p Index identify the query for the trace.
+  void chargeQuery(AnalysisResult &R, const Query &Q, unsigned K,
+                   long Index) const;
+  /// Folds a query's stage timers into the run's.
+  void addQueryTimes(const Query &Q) {
+    SmtSec += Q.SmtSec;
+    IncrSec += Q.IncrSec;
+    ValidateSec += Q.ValidateSec;
   }
   /// Applies one outcome to \p R exactly as the sequential loop would,
   /// re-checking subsumption against the violations committed so far.
@@ -120,7 +136,7 @@ private:
   void commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
                      AnalysisResult &R, unsigned K, long Index);
   unsigned effectiveThreads(size_t Work) const;
-  bool generalizes(unsigned K, const AnalysisResult &R,
+  bool generalizes(unsigned K, AnalysisResult &R,
                    const std::vector<unsigned> &Universe);
   std::vector<struct MergeCtx>
   buildMerges(const Unfolding &U,
@@ -139,21 +155,14 @@ private:
   /// building its abstract history entirely.
   bool layoutViable(const std::vector<std::vector<unsigned>> &Layout,
                     bool Closed, bool RequireAllNodes) const;
-  static bool layoutSubsumed(const std::vector<std::vector<unsigned>> &Layout,
-                             const std::vector<Violation> &V);
-  void precomputeGeneralEdges();
-  /// Folds the run's stage timers and layout-filter counts into \p R.
+  /// Fills GenAny/GenAnti from the general SSG \p G.
+  void setGeneralEdges(const Digraph &G);
+  /// Folds the run's stage timers and DFS/deadline flags into \p R.
   void finishStats(AnalysisResult &R) const {
     R.SSGSeconds += SSGSec;
     R.EnumSeconds += EnumSec;
     R.SmtSeconds += SmtSec;
     R.ValidateSeconds += ValidateSec;
-    R.LayoutsFiltered += LayoutsFilteredGen;
-    R.SMTRetries += SmtRetriesGen;
-    R.SmtQueries += SmtQueriesGen;
-    R.RlimitSpent += RlimitSpentGen;
-    R.SmtSolves += SmtSolvesGen;
-    R.SolverCtxReuses += SolverCtxReusesGen;
     R.IncrementalSeconds += IncrSec;
     R.DfsBudgetExhausted += DfsExhaustions;
     R.DeadlineExpired = R.DeadlineExpired || DeadlineHit;
@@ -168,19 +177,8 @@ private:
   // describe two instances of the same transaction).
   std::vector<std::vector<bool>> GenAny, GenAnti;
   // Per-stage time accumulators, folded into the AnalysisResult by
-  // execute(); see AnalysisResult for their meaning. LayoutsFilteredGen
-  // counts viability-filtered layouts of the generalization check (whose
-  // result object is const at filter time).
+  // execute(); see AnalysisResult for their meaning.
   double SSGSec = 0, EnumSec = 0, SmtSec = 0, ValidateSec = 0;
-  unsigned LayoutsFilteredGen = 0;
-  // Governance accumulators outside the result object: the generalization
-  // check sees a const result, and the viability filter runs under both
-  // const and non-const result contexts. Folded in by finishStats.
-  unsigned SmtRetriesGen = 0;
-  unsigned SmtQueriesGen = 0;
-  uint64_t RlimitSpentGen = 0;
-  unsigned SmtSolvesGen = 0;
-  uint64_t SolverCtxReusesGen = 0;
   double IncrSec = 0; ///< digest/key computation + record lookups
   mutable unsigned DfsExhaustions = 0;
   bool DeadlineHit = false;
@@ -189,7 +187,6 @@ private:
   IncrementalStore *Incr = nullptr;
   /// The run-level context digest scoping every record key.
   std::string IncrCtx;
-  std::vector<SSGViolation> Components; // Stage-1 suspicious components
 
   /// The Z3 environment reused by every main-thread SMT query of this run
   /// (sequential bounded checks and the generalization chunks). Contexts
@@ -211,14 +208,18 @@ private:
 /// round). Z3 contexts must not be shared between threads.
 thread_local std::unique_ptr<Z3Env> WorkerEnv;
 
-bool Run::layoutSubsumed(
-    const std::vector<std::vector<unsigned>> &Layout,
-    const std::vector<Violation> &V) {
-  std::vector<unsigned> Set;
-  for (const std::vector<unsigned> &Session : Layout)
-    Set.insert(Set.end(), Session.begin(), Session.end());
-  std::sort(Set.begin(), Set.end());
-  Set.erase(std::unique(Set.begin(), Set.end()), Set.end());
+/// \p Txns sorted, without duplicates: the transaction-set form that
+/// subsumed() and the violation list compare.
+std::vector<unsigned> txnSet(std::vector<unsigned> Txns) {
+  std::sort(Txns.begin(), Txns.end());
+  Txns.erase(std::unique(Txns.begin(), Txns.end()), Txns.end());
+  return Txns;
+}
+
+/// True when some violation of \p V lies inside the transaction set \p Set
+/// (a txnSet()): anything over \p Set is then already reported.
+bool subsumed(const std::vector<unsigned> &Set,
+              const std::vector<Violation> &V) {
   for (const Violation &Viol : V)
     if (std::includes(Set.begin(), Set.end(), Viol.OrigTxns.begin(),
                       Viol.OrigTxns.end()))
@@ -226,16 +227,20 @@ bool Run::layoutSubsumed(
   return false;
 }
 
-void Run::precomputeGeneralEdges() {
-  StageTimer Timer(SSGSec);
-  SSG G(A, O.Features);
-  G.setOracle(Oracle);
-  G.setEventMask(Mask);
-  G.analyze();
+/// The transaction set of a session layout.
+std::vector<unsigned>
+layoutTxns(const std::vector<std::vector<unsigned>> &Layout) {
+  std::vector<unsigned> Txns;
+  for (const std::vector<unsigned> &Session : Layout)
+    Txns.insert(Txns.end(), Session.begin(), Session.end());
+  return txnSet(std::move(Txns));
+}
+
+void Run::setGeneralEdges(const Digraph &G) {
   unsigned N = A.numTxns();
   GenAny.assign(N, std::vector<bool>(N, false));
   GenAnti = GenAny;
-  for (const Digraph::Edge &E : G.graph().edges()) {
+  for (const Digraph::Edge &E : G.edges()) {
     if (E.Label == DepSO)
       continue; // session order is layout-dependent; added per layout
     GenAny[E.From][E.To] = true;
@@ -331,16 +336,6 @@ bool Run::layoutViable(const std::vector<std::vector<unsigned>> &Layout,
   return false;
 }
 
-bool Run::subsumed(const Unfolding &U,
-                   const std::vector<Violation> &V) const {
-  std::vector<unsigned> Set = U.origTxnSet();
-  for (const Violation &Viol : V)
-    if (std::includes(Set.begin(), Set.end(), Viol.OrigTxns.begin(),
-                      Viol.OrigTxns.end()))
-      return true;
-  return false;
-}
-
 std::vector<bool> Run::maskForUnfolding(const Unfolding &U) const {
   std::vector<bool> M(U.H.numEvents(), true);
   for (unsigned E = 0; E != U.H.numEvents(); ++E)
@@ -351,9 +346,7 @@ std::vector<bool> Run::maskForUnfolding(const Unfolding &U) const {
 bool Run::recordViolation(AnalysisResult &R, std::vector<unsigned> OrigTxns,
                           std::optional<CounterExample> CE,
                           bool Inconclusive) {
-  std::sort(OrigTxns.begin(), OrigTxns.end());
-  OrigTxns.erase(std::unique(OrigTxns.begin(), OrigTxns.end()),
-                 OrigTxns.end());
+  OrigTxns = txnSet(std::move(OrigTxns));
   for (const Violation &V : R.Violations)
     if (V.OrigTxns == OrigTxns)
       return false;
@@ -402,10 +395,10 @@ bool Run::heldBack(const Unfolding &U, size_t Index, CommitState &CS) const {
     // The commit loop consumes every outcome in order, and all tasks
     // before this one have started (FIFO pool), so the wait ends.
     CS.Advanced.wait(Lock, [&] { return CS.Consumed > I; });
-    if (subsumed(U, *CS.Committed))
+    if (subsumed(Set, *CS.Committed))
       return true;
   }
-  return subsumed(U, *CS.Committed);
+  return subsumed(Set, *CS.Committed);
 }
 
 Run::UnfoldingOutcome Run::solveOne(const Unfolding &U, Z3Env *Env,
@@ -426,16 +419,6 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U, Z3Env *Env,
     Out.PrunedEarly = true;
     return Out;
   }
-  // Publishes a found or replayed cycle to the workers of later unfoldings.
-  auto Publish = [&] {
-    if (!CS || Out.Res.Status != UnfoldingResult::CycleFound)
-      return;
-    std::vector<unsigned> Cycle = Out.Res.CE->OrigTxns;
-    std::sort(Cycle.begin(), Cycle.end());
-    Cycle.erase(std::unique(Cycle.begin(), Cycle.end()), Cycle.end());
-    std::lock_guard<std::mutex> Lock(CS->Mu);
-    CS->Cycles[Index] = std::move(Cycle);
-  };
   SSG G(U.H, O.Features, U.SessionTags);
   std::vector<CandidateCycle> Cands;
   {
@@ -448,77 +431,119 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U, Z3Env *Env,
   if (Cands.empty())
     return Out;
   Out.Flagged = true;
-  // Incremental record lookup: a persisted outcome replays the solve of
-  // this unit, counters included, so a warm run's non-timing statistics
-  // match a cold run's. The key covers the unfolding's name-free content
-  // and the exact candidate set (see analysis/Incremental.h for what is
-  // stored).
-  std::string RecKey;
-  const IncrRecord *Rec = nullptr;
-  if (Incr) {
-    StageTimer Timer(Out.IncrSec);
-    RecKey = unfoldingRecordKey(IncrCtx, U, Cands, "bounded");
-    Rec = Incr->lookup(RecKey);
-  }
-  if (Rec && replay(*Rec, U, Cands, Out)) {
-    Publish();
-    return Out;
-  }
-  if (CS && heldBack(U, Index, *CS)) {
+  SolverPolicy P{O.Budget, DL};
+  auto Solve = [&](SolveTelemetry *Tel) {
+    return solveUnfolding(U, G, Cands, O.Features, P, Oracle, Env, Tel);
+  };
+  if (!query(Out.Q, U, Cands, Solve, CS, Index)) {
     Out.PrunedEarly = true;
     return Out;
   }
-  {
-    StageTimer Timer(Out.SmtSec);
-    SolverPolicy P{O.Budget, DL};
-    Out.Res = solveUnfolding(U, G, Cands, O.Features, P, Oracle, Env,
-                             &Out.Tel);
+  // Publishes a found or replayed cycle to the workers of later unfoldings.
+  if (CS && Out.Q.Res.Status == UnfoldingResult::CycleFound) {
+    std::vector<unsigned> Cycle = txnSet(Out.Q.Res.CE->OrigTxns);
+    std::lock_guard<std::mutex> Lock(CS->Mu);
+    CS->Cycles[Index] = std::move(Cycle);
   }
-  bool Cycle = Out.Res.Status == UnfoldingResult::CycleFound;
-  if (Cycle) {
-    Publish();
-    StageTimer Timer(Out.ValidateSec);
-    Out.CEValid = validateCE(*Out.Res.CE);
-  }
-  // Unknowns and errors are never frozen, and a cycle only with its
-  // canonical witness (UnfoldingResult::Witness).
-  if (Incr && !Out.Tel.Error &&
-      (Out.Res.Status == UnfoldingResult::NoCycle || Out.Res.Witness))
-    Incr->record(RecKey, {.Attempts = Out.Tel.Attempts,
-                          .CtxReuses = Out.Tel.CtxReuses,
-                          .RlimitBudget = Out.Tel.RlimitBudget,
-                          .Cycle = Cycle,
-                          .Witness = std::move(Out.Res.Witness)});
   return Out;
 }
 
-bool Run::replay(const IncrRecord &Rec, const Unfolding &U,
-                 const std::vector<CandidateCycle> &Cands,
-                 UnfoldingOutcome &Out) const {
-  if (Rec.Cycle && !(Rec.Witness && Rec.Witness->fits(U, Cands.size())))
-    return false;
-  Out.Reused = true;
-  Out.Tel.Attempts = Rec.Attempts;
-  Out.Tel.CtxReuses = Rec.CtxReuses;
-  Out.Tel.RlimitBudget = Rec.RlimitBudget;
-  if (!Rec.Cycle) {
-    Out.Res.Status = UnfoldingResult::NoCycle;
+bool Run::query(Query &Q, const Unfolding &U,
+                const std::vector<CandidateCycle> &Cands,
+                const std::function<UnfoldingResult(SolveTelemetry *)> &Solve,
+                CommitState *CS, size_t Index) {
+  // Incremental record lookup: a persisted outcome replays the solve of
+  // this query, counters included, so a warm run's non-timing statistics
+  // match a cold run's. The key covers the unfolding's name-free content,
+  // the exact candidate set and the stage (see analysis/Incremental.h for
+  // what is stored).
+  std::string RecKey;
+  const IncrRecord *Rec = nullptr;
+  if (Incr) {
+    StageTimer Timer(Q.IncrSec);
+    RecKey = unfoldingRecordKey(IncrCtx, U, Cands, Q.stage());
+    Rec = Incr->lookup(RecKey);
+  }
+  // A bounded cycle replays only with a witness that fits.
+  if (Rec && (!Q.Bounded || !Rec->Cycle ||
+              (Rec->Witness && Rec->Witness->fits(U, Cands.size())))) {
+    Q.Reused = true;
+    Q.Tel.Attempts = Rec->Attempts;
+    Q.Tel.CtxReuses = Rec->CtxReuses;
+    Q.Tel.RlimitBudget = Rec->RlimitBudget;
+    Q.Res.Status =
+        Rec->Cycle ? UnfoldingResult::CycleFound : UnfoldingResult::NoCycle;
+    if (Q.Bounded && Rec->Cycle) {
+      // The counter-example is rebuilt from the stored model with the
+      // current program's names and validated afresh, exactly as a solved
+      // one is.
+      StageTimer Timer(Q.ValidateSec);
+      Q.Res.CE = buildCounterExample(U, Cands, *Rec->Witness);
+      Q.CEValid = validateCE(*Q.Res.CE);
+    }
     return true;
   }
-  // The counter-example is rebuilt from the stored model with the current
-  // program's names and validated afresh, exactly as a solved one is.
-  StageTimer Timer(Out.ValidateSec);
-  Out.Res.Status = UnfoldingResult::CycleFound;
-  Out.Res.CE = buildCounterExample(U, Cands, *Rec.Witness);
-  Out.CEValid = validateCE(*Out.Res.CE);
+  if (CS && heldBack(U, Index, *CS))
+    return false;
+  {
+    StageTimer Timer(Q.SmtSec);
+    Q.Res = Solve(&Q.Tel);
+  }
+  bool Cycle = Q.Res.Status == UnfoldingResult::CycleFound;
+  if (Q.Bounded && Cycle) {
+    StageTimer Timer(Q.ValidateSec);
+    Q.CEValid = validateCE(*Q.Res.CE);
+  }
+  // Unknowns and errors are never frozen, and a bounded cycle only with
+  // its canonical witness (UnfoldingResult::Witness).
+  if (Incr && !Q.Tel.Error && Q.Res.Status != UnfoldingResult::Unknown &&
+      (!Q.Bounded || !Cycle || Q.Res.Witness))
+    Incr->record(RecKey, {.Attempts = Q.Tel.Attempts,
+                          .CtxReuses = Q.Tel.CtxReuses,
+                          .RlimitBudget = Q.Tel.RlimitBudget,
+                          .Cycle = Cycle,
+                          .Witness = std::move(Q.Res.Witness)});
   return true;
+}
+
+void Run::chargeQuery(AnalysisResult &R, const Query &Q, unsigned K,
+                      long Index) const {
+  ++R.SmtQueries;
+  // (RlimitSpent is telemetry — Z3's spent counter can jitter by a few
+  // thousand units with context history — but attempts/verdicts are exact.)
+  if (Q.Tel.Attempts > 1)
+    R.SMTRetries += Q.Tel.Attempts - 1;
+  R.RlimitSpent += Q.Tel.RlimitSpent;
+  // Reused records replay the cold run's attempt/retry counters above, but
+  // only queries that actually reached Z3 this run count as solves.
+  if (!Q.Reused && Q.Tel.Attempts > 0)
+    ++R.SmtSolves;
+  R.SolverCtxReuses += Q.Tel.CtxReuses;
+  if (!O.Trace)
+    return;
+  QueryRecord Rec;
+  Rec.Stage = Q.stage();
+  Rec.K = K;
+  Rec.Unfolding = Index;
+  // Reused queries issued no solve attempt; the replayed count matches the
+  // cold run's trace line.
+  Rec.Attempts = Q.Reused ? Q.Tel.Attempts : std::max(1u, Q.Tel.Attempts);
+  Rec.RlimitBudget = Q.Tel.RlimitBudget;
+  Rec.RlimitSpent = Q.Tel.RlimitSpent;
+  Rec.Outcome = Q.Res.Status == UnfoldingResult::NoCycle      ? "no-cycle"
+                : Q.Res.Status == UnfoldingResult::CycleFound ? "cycle"
+                : Q.Tel.Error                                 ? "error"
+                                                              : "unknown";
+  Rec.Reused = Q.Reused;
+  Rec.WallMs = (Q.SmtSec + Q.IncrSec) * 1000.0;
+  O.Trace->append(Rec);
 }
 
 void Run::commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
                         AnalysisResult &R, unsigned K, long Index) {
   // Authoritative subsumption check, in enumeration order — reproduces the
   // sequential loop's decision exactly.
-  if (subsumed(U, R.Violations)) {
+  if (subsumed(U.origTxnSet(), R.Violations)) {
     ++R.UnfoldingsSubsumed;
     return;
   }
@@ -528,59 +553,29 @@ void Run::commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
   if (!Out.Flagged)
     return;
   ++R.SSGFlagged;
-  ++R.SmtQueries;
   // Governance accounting and the trace record happen at commit time, in
   // enumeration order, so both are deterministic across thread counts.
-  // (RlimitSpent is telemetry — Z3's spent counter can jitter by a few
-  // thousand units with context history — but attempts/verdicts are exact.)
-  if (Out.Tel.Attempts > 1)
-    R.SMTRetries += Out.Tel.Attempts - 1;
-  R.RlimitSpent += Out.Tel.RlimitSpent;
-  // Reused records replay the cold run's attempt/retry counters above, but
-  // only queries that actually reached Z3 this run count as solves.
-  if (!Out.Reused && Out.Tel.Attempts > 0)
-    ++R.SmtSolves;
-  R.SolverCtxReuses += Out.Tel.CtxReuses;
-  const char *Outcome = "unknown";
-  switch (Out.Res.Status) {
+  Query &Q = Out.Q;
+  chargeQuery(R, Q, K, Index);
+  switch (Q.Res.Status) {
   case UnfoldingResult::NoCycle:
     ++R.SMTRefuted;
-    Outcome = "no-cycle";
     break;
   case UnfoldingResult::Unknown:
     ++R.SMTUnknown;
-    Outcome = Out.Tel.Error ? "error" : "unknown";
     // Sound default: report the unfolding's transactions as a potential
     // violation.
     recordViolation(R, U.origTxnSet(), std::nullopt,
                     /*Inconclusive=*/true);
     break;
-  case UnfoldingResult::CycleFound:
-    Outcome = "cycle";
+  case UnfoldingResult::CycleFound: {
+    // Copy the key first: the CE is moved into the violation.
+    std::vector<unsigned> Key = Q.Res.CE->OrigTxns;
+    if (recordViolation(R, std::move(Key), std::move(Q.Res.CE),
+                        /*Inconclusive=*/false))
+      R.Violations.back().Validated = Q.CEValid;
     break;
   }
-  if (O.Trace) {
-    QueryRecord Rec;
-    Rec.Stage = "bounded";
-    Rec.K = K;
-    Rec.Unfolding = Index;
-    // Reused queries issued no solve attempt; the replayed count matches
-    // the cold run's trace line.
-    Rec.Attempts =
-        Out.Reused ? Out.Tel.Attempts : std::max(1u, Out.Tel.Attempts);
-    Rec.RlimitBudget = Out.Tel.RlimitBudget;
-    Rec.RlimitSpent = Out.Tel.RlimitSpent;
-    Rec.Outcome = Outcome;
-    Rec.Reused = Out.Reused;
-    Rec.WallMs = (Out.SmtSec + Out.IncrSec) * 1000.0;
-    O.Trace->append(Rec);
-  }
-  if (Out.Res.Status == UnfoldingResult::CycleFound) {
-    // Copy the key first: the CE is moved into the violation.
-    std::vector<unsigned> Key = Out.Res.CE->OrigTxns;
-    if (recordViolation(R, std::move(Key), std::move(Out.Res.CE),
-                        /*Inconclusive=*/false))
-      R.Violations.back().Validated = Out.CEValid;
   }
 }
 
@@ -589,7 +584,7 @@ bool Run::checkBounded(unsigned K, AnalysisResult &R,
   bool Truncated = false;
   std::function<bool(const std::vector<std::vector<unsigned>> &)> Filter =
       [&](const std::vector<std::vector<unsigned>> &Layout) {
-        if (layoutSubsumed(Layout, R.Violations)) {
+        if (subsumed(layoutTxns(Layout), R.Violations)) {
           ++R.UnfoldingsSubsumed;
           return false;
         }
@@ -626,12 +621,13 @@ bool Run::checkBounded(unsigned K, AnalysisResult &R,
         R.DeadlineExpired = true;
         return false;
       }
-      if (subsumed(U, R.Violations)) {
+      if (subsumed(U.origTxnSet(), R.Violations)) {
         ++R.UnfoldingsSubsumed;
         continue;
       }
       UnfoldingOutcome Out = solveOne(U, &seqEnv());
-      addStageTimes(Out);
+      SSGSec += Out.SSGSec;
+      addQueryTimes(Out.Q);
       if (Out.Cancelled) {
         R.UnfoldingsDeferred += static_cast<unsigned>(Unfoldings.size() - I);
         R.DeadlineExpired = true;
@@ -676,7 +672,8 @@ bool Run::checkBounded(unsigned K, AnalysisResult &R,
   unsigned Deferred = 0;
   for (size_t I = 0; I != Unfoldings.size(); ++I) {
     UnfoldingOutcome Out = Futures[I].get();
-    addStageTimes(Out);
+    SSGSec += Out.SSGSec;
+    addQueryTimes(Out.Q);
     std::lock_guard<std::mutex> Lock(CS.Mu);
     if (Winding || Out.Cancelled || DL->expired()) {
       Winding = true;
@@ -785,7 +782,7 @@ static bool shortcutReducibleWith(const std::vector<MergeCtx> &Merges,
   return false;
 }
 
-bool Run::generalizes(unsigned K, const AnalysisResult &R,
+bool Run::generalizes(unsigned K, AnalysisResult &R,
                       const std::vector<unsigned> &Universe) {
   // Any violation we could not conclusively analyze blocks generalization.
   for (const Violation &V : R.Violations)
@@ -804,12 +801,12 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
         // transactions (any segment of a larger layout is covered by its
         // exact one), so subsumption applies at layout granularity and the
         // spanning path must cover every transaction.
-        if (layoutSubsumed(Layout, R.Violations))
+        if (subsumed(layoutTxns(Layout), R.Violations))
           return false;
         if (layoutViable(Layout, /*Closed=*/false,
                          /*RequireAllNodes=*/true))
           return true;
-        ++LayoutsFilteredGen;
+        ++R.LayoutsFiltered;
         return false;
       };
   std::vector<Unfolding> Unfoldings;
@@ -822,11 +819,8 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
     DeadlineHit = true;
     return false;
   }
-  if (Truncated) {
-    if (std::getenv("C4_DEBUG_GEN"))
-      std::fputs("gen blocked: unfolding enumeration truncated\n", stderr);
+  if (Truncated)
     return false;
-  }
 
   // Transitive closure of the original may-follow relation (for merges).
   unsigned N = A.numTxns();
@@ -864,17 +858,10 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
     bool MergesBuilt = false;
     std::function<bool(const CandidateCycle &)> Unsubsumed =
         [&](const CandidateCycle &Seg) {
-          std::vector<unsigned> SegSet;
+          std::vector<unsigned> SegTxns;
           for (unsigned T : Seg.Txns)
-            SegSet.push_back(U.OrigTxn[T]);
-          std::sort(SegSet.begin(), SegSet.end());
-          SegSet.erase(std::unique(SegSet.begin(), SegSet.end()),
-                       SegSet.end());
-          for (const Violation &V : R.Violations)
-            if (std::includes(SegSet.begin(), SegSet.end(),
-                              V.OrigTxns.begin(), V.OrigTxns.end()))
-              return false;
-          return true;
+            SegTxns.push_back(U.OrigTxn[T]);
+          return !subsumed(txnSet(std::move(SegTxns)), R.Violations);
         };
     bool SegTruncated = false;
     std::vector<CandidateCycle> Segments;
@@ -884,11 +871,8 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
                                     SegTruncated, U.OrigTxn, &Unsubsumed,
                                     /*RequireAllTxns=*/true);
     }
-    if (SegTruncated) {
-      if (std::getenv("C4_DEBUG_GEN"))
-        std::fputs("gen blocked: segment enumeration truncated\n", stderr);
+    if (SegTruncated)
       return false;
-    }
     if (Segments.empty())
       continue;
 
@@ -906,126 +890,41 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
 
     // (c) SMT: the remaining segments must be infeasible. Query in chunks
     // to keep individual encodings small.
-    UnfoldingResult Res;
-    Res.Status = UnfoldingResult::NoCycle;
-    {
-      SolverPolicy P{O.Budget, DL};
-      // One shared solver context per unfolding: the session layout's base
-      // encoding (orders, control flow, facts) is built once and chunks
-      // 2..n add only their cycle selectors under push/pop, instead of
-      // re-encoding everything per chunk. Lazily built — unfoldings whose
-      // chunks are all replayed never pay for an encoding.
-      std::optional<LayoutSolver> LS;
-      for (size_t Begin = 0;
-           Begin < Remaining.size() &&
-           Res.Status == UnfoldingResult::NoCycle;
-           Begin += 64) {
-        if (DL->expired()) {
-          DeadlineHit = true;
-          return false;
-        }
-        std::vector<CandidateCycle> Chunk(
-            Remaining.begin() + Begin,
-            Remaining.begin() +
-                std::min(Remaining.size(), Begin + 64));
-        SolveTelemetry Tel;
-        double ChunkSec = 0;
-        bool Reused = false;
-        ++SmtQueriesGen;
-        // Incremental record lookup first (see solveOne): a persisted
-        // outcome replays the chunk's solve counters. A cycle record
-        // replays only the "blocked" status: a generalization-stage cycle
-        // is never reported.
-        std::string RecKey;
-        if (Incr) {
-          double IncrChunkSec = 0;
-          {
-            StageTimer IncrTimer(IncrChunkSec);
-            RecKey = unfoldingRecordKey(IncrCtx, U, Chunk, "generalize");
-            if (const IncrRecord *Rec = Incr->lookup(RecKey)) {
-              Reused = true;
-              Res.Status = Rec->Cycle ? UnfoldingResult::CycleFound
-                                      : UnfoldingResult::NoCycle;
-              Tel.Attempts = Rec->Attempts;
-              Tel.CtxReuses = Rec->CtxReuses;
-              Tel.RlimitBudget = Rec->RlimitBudget;
-              if (Tel.Attempts > 1)
-                SmtRetriesGen += Tel.Attempts - 1;
-              SolverCtxReusesGen += Tel.CtxReuses;
-            }
-          }
-          IncrSec += IncrChunkSec;
-          ChunkSec += IncrChunkSec;
-        }
-        if (!Reused) {
-          double SolveSec = 0;
-          {
-            StageTimer SolveTimer(SolveSec);
-            if (!LS)
-              LS.emplace(U, G, O.Features, P, Oracle, &seqEnv());
-            Res = LS->solve(Chunk, &Tel);
-          }
-          SmtSec += SolveSec;
-          ChunkSec += SolveSec;
-          if (Tel.Attempts > 1)
-            SmtRetriesGen += Tel.Attempts - 1;
-          RlimitSpentGen += Tel.RlimitSpent;
-          SolverCtxReusesGen += Tel.CtxReuses;
-          if (Tel.Attempts > 0)
-            ++SmtSolvesGen;
-          bool Cycle = Res.Status == UnfoldingResult::CycleFound;
-          if (Incr && !Tel.Error && Res.Status != UnfoldingResult::Unknown)
-            Incr->record(RecKey, {.Attempts = Tel.Attempts,
-                                  .CtxReuses = Tel.CtxReuses,
-                                  .RlimitBudget = Tel.RlimitBudget,
-                                  .Cycle = Cycle});
-        }
-        if (O.Trace) {
-          QueryRecord Rec;
-          Rec.Stage = "generalize";
-          Rec.K = K;
-          Rec.Unfolding = GenIndex;
-          Rec.Attempts = Reused ? Tel.Attempts : std::max(1u, Tel.Attempts);
-          Rec.RlimitBudget = Tel.RlimitBudget;
-          Rec.RlimitSpent = Tel.RlimitSpent;
-          Rec.Outcome = Res.Status == UnfoldingResult::NoCycle ? "no-cycle"
-                        : Res.Status == UnfoldingResult::CycleFound
-                            ? "cycle"
-                            : (Tel.Error ? "error" : "unknown");
-          Rec.Reused = Reused;
-          Rec.WallMs = ChunkSec * 1000.0;
-          O.Trace->append(Rec);
-        }
+    SolverPolicy P{O.Budget, DL};
+    // One shared solver context per unfolding: the session layout's base
+    // encoding (orders, control flow, facts) is built once and chunks
+    // 2..n add only their cycle selectors under push/pop, instead of
+    // re-encoding everything per chunk. Lazily built — unfoldings whose
+    // chunks are all replayed never pay for an encoding.
+    std::optional<LayoutSolver> LS;
+    for (size_t Begin = 0; Begin < Remaining.size(); Begin += 64) {
+      if (DL->expired()) {
+        DeadlineHit = true;
+        return false;
       }
-    }
-    if (Res.Status != UnfoldingResult::NoCycle) {
-      if (std::getenv("C4_DEBUG_GEN")) {
-        std::string Msg = "gen blocked in:";
-        for (unsigned T = 0; T != U.H.numTxns(); ++T)
-          Msg += strf(" %s/s%u", U.H.txn(T).Name.c_str(), U.SessionTags[T]);
-        Msg += strf(" (%zu segs, status %d); first:",
-                    Remaining.size(), static_cast<int>(Res.Status));
-        for (unsigned T : Remaining.front().Txns)
-          Msg += strf(" %u", T);
-        for (const auto &L : Remaining.front().StepLabels) {
-          Msg += " [";
-          for (int X : L)
-            Msg += strf("%d,", X);
-          Msg += "]";
-        }
-        Msg += "\n";
-        std::fputs(Msg.c_str(), stderr);
-      }
-      return false;
+      std::vector<CandidateCycle> Chunk(
+          Remaining.begin() + Begin,
+          Remaining.begin() + std::min(Remaining.size(), Begin + 64));
+      Query Q;
+      Q.Bounded = false;
+      query(Q, U, Chunk, [&](SolveTelemetry *Tel) {
+        if (!LS)
+          LS.emplace(U, G, O.Features, P, Oracle, &seqEnv());
+        return LS->solve(Chunk, Tel);
+      });
+      addQueryTimes(Q);
+      chargeQuery(R, Q, K, GenIndex);
+      if (Q.Res.Status != UnfoldingResult::NoCycle)
+        return false;
     }
   }
   return true;
 }
 
 void Run::execute(AnalysisResult &R) {
-  precomputeGeneralEdges();
   // Stage 1: the fast general SSG analysis.
   bool FastProved = false;
+  std::vector<SSGViolation> Components;
   {
     StageTimer Timer(SSGSec);
     SSG General(A, O.Features);
@@ -1037,8 +936,10 @@ void Run::execute(AnalysisResult &R) {
     if (General.provesSerializable()) {
       FastProved = true;
     } else {
-      // Stage 2 below consumes the suspicious components.
+      // Stage 2 below consumes the suspicious components, and its layout
+      // viability filter the graph's edges.
       Components = General.violations();
+      setGeneralEdges(General.graph());
     }
   }
   if (FastProved) {

@@ -6,7 +6,9 @@
 
 #include "support/Format.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace c4;
 
@@ -36,4 +38,22 @@ std::string c4::join(const std::vector<std::string> &Parts,
     Result += Parts[I];
   }
   return Result;
+}
+
+bool c4::parseCount(const char *Flag, const char *Text, unsigned &Out) {
+  if (!Text || !*Text || *Text == '-' || *Text == '+') {
+    std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
+                 Flag, Text ? Text : "");
+    return false;
+  }
+  errno = 0;
+  char *End = nullptr;
+  unsigned long V = std::strtoul(Text, &End, 10);
+  if (errno == ERANGE || *End != '\0' || V > 0xFFFFFFFFul) {
+    std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
+                 Flag, Text);
+    return false;
+  }
+  Out = static_cast<unsigned>(V);
+  return true;
 }

@@ -11,8 +11,11 @@
 /// (a SIGKILLed worker is restarted and its traffic re-routed with zero
 /// failed replies), hung-worker recovery (a SIGSTOPped worker stops
 /// answering pings and is killed, restarted and its requests re-routed),
-/// and graceful drain on SIGTERM — exit 0 with no worker process left
-/// behind.
+/// hostile clients (an abrupt RST disconnect costs only that client's
+/// relayed reply, counted dropped; a half-written request is harmless; an
+/// unterminated line past the 32 MiB guard gets one error reply, then the
+/// connection closes), and graceful drain on SIGTERM — exit 0 with no
+/// worker process left behind.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -189,6 +192,25 @@ std::string recvLine(int Fd, int TimeoutMs = 60000) {
   }
 }
 
+/// Closes \p Fd with SO_LINGER{on,0}: the kernel sends RST, the hardest
+/// form of client disappearance.
+void rstClose(int Fd) {
+  linger L{1, 0};
+  ::setsockopt(Fd, SOL_SOCKET, SO_LINGER, &L, sizeof(L));
+  ::close(Fd);
+}
+
+/// True when the peer has closed \p Fd (EOF or reset) within \p TimeoutMs
+/// and nothing more was sent before that.
+bool peerClosed(int Fd, int TimeoutMs = 10000) {
+  pollfd P{Fd, POLLIN, 0};
+  if (::poll(&P, 1, TimeoutMs) <= 0)
+    return false;
+  char C;
+  ssize_t N = ::recv(Fd, &C, 1, MSG_DONTWAIT);
+  return N == 0 || (N < 0 && errno == ECONNRESET);
+}
+
 /// One stats round-trip on an existing connection.
 std::string statsOn(int Fd) {
   sendAll(Fd, "{\"id\": \"st\", \"op\": \"stats\"}\n");
@@ -316,6 +338,87 @@ TEST(Router, RestartsKilledWorkerAndDropsNoReplies) {
   EXPECT_EQ(statField(Stats, "replies_dropped"), 0) << Stats;
 
   ::close(Control);
+  R.kill();
+}
+
+TEST(Router, SurvivesAbruptDisconnectAndCountsDroppedReply) {
+  RouterProc R = spawnRouter("rt_rst", "--workers 2 --worker-threads 1");
+  ASSERT_GT(R.Port, 0);
+  int Probe = connectTcp(R.Port);
+  ASSERT_GE(Probe, 0);
+  waitForStat(Probe, "workers_up", 2);
+
+  // Pipeline a ping with the analysis request: the router's pong proves it
+  // has read (and routed) the batch. Then vanish with an RST before the
+  // worker can possibly have answered.
+  int Victim = connectTcp(R.Port);
+  ASSERT_GE(Victim, 0);
+  sendAll(Victim, "{\"id\": \"p\", \"op\": \"ping\"}\n{\"id\": \"a\", "
+                  "\"file\": \"" +
+                      examplePath("fig11_add_follower.c4l") + "\"}\n");
+  EXPECT_TRUE(contains(recvLine(Victim), "\"pong\": true"));
+  rstClose(Victim);
+
+  // The router stays up and accounts the undeliverable relayed reply.
+  long Dropped = 0;
+  for (int I = 0; I < 600 && Dropped < 1; ++I) {
+    std::string Stats = statsOn(Probe);
+    ASSERT_TRUE(contains(Stats, "\"ok\": true")) << Stats;
+    Dropped = statField(Stats, "replies_dropped");
+    if (Dropped < 1)
+      ::usleep(50 * 1000);
+  }
+  EXPECT_EQ(Dropped, 1);
+
+  ::close(Probe);
+  R.kill();
+}
+
+TEST(Router, HalfWrittenRequestThenCloseIsHarmless) {
+  RouterProc R = spawnRouter("rt_half", "--workers 1 --worker-threads 1");
+  ASSERT_GT(R.Port, 0);
+
+  // A request cut off mid-line with no newline, then a clean close: no
+  // reply owed, nothing routed, nothing dropped.
+  int Half = connectTcp(R.Port);
+  ASSERT_GE(Half, 0);
+  sendAll(Half, "{\"id\": 1, \"program\": \"container ma");
+  ::close(Half);
+
+  int Probe = connectTcp(R.Port);
+  ASSERT_GE(Probe, 0);
+  sendAll(Probe, "{\"id\": 2, \"op\": \"ping\"}\n");
+  EXPECT_TRUE(contains(recvLine(Probe), "\"pong\": true"));
+  std::string Stats = statsOn(Probe);
+  EXPECT_EQ(statField(Stats, "replies_dropped"), 0) << Stats;
+  EXPECT_EQ(statField(Stats, "requests_routed"), 0) << Stats;
+  EXPECT_EQ(statField(Stats, "connections"), 2) << Stats;
+
+  ::close(Probe);
+  R.kill();
+}
+
+TEST(Router, OverlongUnterminatedLineGetsOneErrorThenClose) {
+  RouterProc R = spawnRouter("rt_overlong", "--workers 1 --worker-threads 1");
+  ASSERT_GT(R.Port, 0);
+
+  // One byte past the 32 MiB guard and no newline: one error reply from
+  // the router itself, then it closes the connection.
+  int Fd = connectTcp(R.Port);
+  ASSERT_GE(Fd, 0);
+  sendAll(Fd, std::string((32u << 20) + 1, 'x'));
+  std::string Reply = recvLine(Fd);
+  EXPECT_TRUE(contains(Reply, "\"ok\": false")) << Reply;
+  EXPECT_TRUE(contains(Reply, "request line exceeds 33554432 bytes"))
+      << Reply;
+  EXPECT_TRUE(peerClosed(Fd));
+  ::close(Fd);
+
+  int Probe = connectTcp(R.Port);
+  ASSERT_GE(Probe, 0);
+  std::string Stats = statsOn(Probe);
+  EXPECT_EQ(statField(Stats, "requests_routed"), 0) << Stats;
+  ::close(Probe);
   R.kill();
 }
 

@@ -16,7 +16,9 @@
 /// The ServeTcp/ServeUnix tests exercise the socket serving tier against
 /// hostile and concurrent clients: abrupt RST disconnects mid-request
 /// (the reply is counted dropped, the server lives), half-written
-/// requests, a stampede of connections on one analysis fingerprint
+/// requests, an unterminated line past the 32 MiB guard (one error reply,
+/// then the connection closes), a stampede of connections on one analysis
+/// fingerprint
 /// (single-flight: exactly one backend run), admission-control
 /// backpressure, and graceful drain on SIGTERM (every in-flight request
 /// still answered, exit 0).
@@ -396,6 +398,17 @@ void rstClose(int Fd) {
   ::close(Fd);
 }
 
+/// True when the peer has closed \p Fd (EOF or reset) within \p TimeoutMs
+/// and nothing more was sent before that.
+bool peerClosed(int Fd, int TimeoutMs = 10000) {
+  pollfd P{Fd, POLLIN, 0};
+  if (::poll(&P, 1, TimeoutMs) <= 0)
+    return false;
+  char C;
+  ssize_t N = ::recv(Fd, &C, 1, MSG_DONTWAIT);
+  return N == 0 || (N < 0 && errno == ECONNRESET);
+}
+
 /// Extracts the integer value of \p Key from a one-line JSON reply.
 long statField(const std::string &Reply, const std::string &Key) {
   size_t Pos = Reply.find("\"" + Key + "\": ");
@@ -464,6 +477,33 @@ TEST(ServeTcp, HalfWrittenRequestThenCloseIsHarmless) {
   EXPECT_EQ(statField(Stats, "replies_dropped"), 0) << Stats;
   EXPECT_EQ(statField(Stats, "connections"), 2) << Stats;
 
+  sendAll(Probe, "{\"id\": 3, \"op\": \"shutdown\"}\n");
+  EXPECT_TRUE(contains(recvLine(Probe), "\"shutdown\": true"));
+  ::close(Probe);
+  EXPECT_EQ(S.waitExit(), 0);
+}
+
+TEST(ServeTcp, OverlongUnterminatedLineGetsOneErrorThenClose) {
+  ServeProc S = spawnServe("tcp_overlong", "--tcp 127.0.0.1:0 --workers 1");
+  ASSERT_GT(S.Port, 0);
+
+  // One byte past the 32 MiB guard and no newline: one error reply, then
+  // the server closes the connection.
+  int Fd = connectTcp(S.Port);
+  ASSERT_GE(Fd, 0);
+  sendAll(Fd, std::string((32u << 20) + 1, 'x'));
+  std::string Reply = recvLine(Fd);
+  EXPECT_TRUE(contains(Reply, "\"ok\": false")) << Reply;
+  EXPECT_TRUE(contains(Reply, "request line exceeds 33554432 bytes"))
+      << Reply;
+  EXPECT_TRUE(peerClosed(Fd));
+  ::close(Fd);
+
+  // Other clients are unaffected.
+  int Probe = connectTcp(S.Port);
+  ASSERT_GE(Probe, 0);
+  sendAll(Probe, "{\"id\": 2, \"op\": \"ping\"}\n");
+  EXPECT_TRUE(contains(recvLine(Probe), "\"pong\": true"));
   sendAll(Probe, "{\"id\": 3, \"op\": \"shutdown\"}\n");
   EXPECT_TRUE(contains(recvLine(Probe), "\"shutdown\": true"));
   ::close(Probe);

@@ -79,8 +79,8 @@
 #include "ssg/GraphExport.h"
 #include "store/DynamicAnalyzer.h"
 #include "store/Interpreter.h"
+#include "support/Format.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -102,27 +102,6 @@ static int usage(const char *Prog) {
                "[--werror] <file.c4l>\n",
                Prog);
   return 2;
-}
-
-/// Parses a non-negative decimal integer argument. Rejects trailing junk,
-/// signs and out-of-range values ("--max-k banana" or "--max-k -2" must be
-/// an error, not silently 0).
-static bool parseCount(const char *Flag, const char *Text, unsigned &Out) {
-  if (!Text || !*Text || *Text == '-' || *Text == '+') {
-    std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
-                 Flag, Text ? Text : "");
-    return false;
-  }
-  errno = 0;
-  char *End = nullptr;
-  unsigned long V = std::strtoul(Text, &End, 10);
-  if (errno == ERANGE || *End != '\0' || V > 0xFFFFFFFFul) {
-    std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
-                 Flag, Text);
-    return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
 }
 
 int main(int Argc, char **Argv) {

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// The scale-out front of the serving tier: one router process accepts the
-/// same JSON-lines protocol as `c4-serve` (Unix socket and/or TCP), spawns
+/// same JSON-lines protocol as `c4-serve` (Unix socket and/or TCP) through
+/// the same client-connection layer (support/LineServer.h), spawns
 /// and supervises N `c4-serve` worker processes, and routes every analysis
 /// request to a worker chosen by rendezvous hashing on the request's
 /// content (support/Rendezvous.h). Stickiness keeps each worker's verdict /
@@ -60,34 +61,27 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/EventLoop.h"
-#include "support/Json.h"
+#include "support/Format.h"
+#include "support/LineServer.h"
 #include "support/Rendezvous.h"
 #include "support/Subprocess.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <memory>
-#include <optional>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include <dirent.h>
 #include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -108,28 +102,8 @@ int usage(const char *Prog) {
   return 2;
 }
 
-bool parseCount(const char *Flag, const char *Text, unsigned &Out) {
-  if (!Text || !*Text || *Text == '-' || *Text == '+') {
-    std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
-                 Flag, Text ? Text : "");
-    return false;
-  }
-  errno = 0;
-  char *End = nullptr;
-  unsigned long V = std::strtoul(Text, &End, 10);
-  if (errno == ERANGE || *End != '\0' || V > 0xFFFFFFFFul) {
-    std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
-                 Flag, Text);
-    return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-
 using Clock = std::chrono::steady_clock;
 
-/// Hostile-client guard, same bound as c4-serve.
-constexpr size_t kMaxLineBytes = 32u << 20;
 /// How long a freshly spawned worker gets to come up before it is killed
 /// and respawned.
 constexpr unsigned kConnectGraceMs = 10000;
@@ -148,21 +122,6 @@ constexpr unsigned kWedgedGraceMs = 15000;
 /// A request is failed back to the client after riding through this many
 /// worker deaths (a request that *causes* crashes must not cycle forever).
 constexpr unsigned kMaxRouteAttempts = 6;
-
-std::string renderId(const JsonValue *Id) {
-  if (Id) {
-    if (const std::string *S = Id->asString())
-      return "\"" + jsonEscape(*S) + "\"";
-    if (std::optional<int64_t> I = Id->asInt())
-      return std::to_string(*I);
-  }
-  return "null";
-}
-
-std::string errorReply(const std::string &Id, const std::string &Msg) {
-  return "{\"id\": " + Id + ", \"ok\": false, \"error\": \"" +
-         jsonEscape(Msg) + "\"}";
-}
 
 /// The routing key: the request object with its "id" member dropped and the
 /// remaining members sorted by name, rendered canonically. Two requests
@@ -213,68 +172,6 @@ bool parseReplySeq(const std::string &Line, uint64_t &Seq, size_t &RestPos) {
   return true;
 }
 
-/// Removes a directory tree created by this process (worker cache dirs and
-/// sockets under the private run directory). Depth-bounded: the layout is
-/// shallow (<root>/worker-<i>/{objects,tmp}/<entries>).
-void removeTree(const std::string &Path, unsigned Depth = 0) {
-  if (Depth > 4)
-    return;
-  DIR *D = ::opendir(Path.c_str());
-  if (D) {
-    while (struct dirent *E = ::readdir(D)) {
-      std::string Name = E->d_name;
-      if (Name == "." || Name == "..")
-        continue;
-      std::string Child = Path + "/" + Name;
-      if (::unlink(Child.c_str()) != 0 && errno == EISDIR)
-        removeTree(Child, Depth + 1);
-      else if (errno == EPERM || errno == EISDIR)
-        removeTree(Child, Depth + 1);
-    }
-    ::closedir(D);
-  }
-  ::rmdir(Path.c_str());
-}
-
-/// Write ends of the signal self-pipes. One byte per signal is the only
-/// async-signal-safe hand-off into the event loop.
-std::atomic<int> StopSignalFd{-1};
-std::atomic<int> ChildSignalFd{-1};
-
-extern "C" void onStopSignal(int) {
-  int Fd = StopSignalFd.load(std::memory_order_relaxed);
-  if (Fd >= 0) {
-    char B = 1;
-    ssize_t N = ::write(Fd, &B, 1);
-    (void)N;
-  }
-}
-
-extern "C" void onChildSignal(int) {
-  int Fd = ChildSignalFd.load(std::memory_order_relaxed);
-  if (Fd >= 0) {
-    char B = 1;
-    ssize_t N = ::write(Fd, &B, 1);
-    (void)N;
-  }
-}
-
-/// One client connection (same buffering discipline as c4-serve's Conn).
-struct Conn {
-  int Fd = -1;
-  uint64_t Id = 0;
-  std::string ReadBuf;
-  std::string WriteBuf;
-  size_t WriteOff = 0;
-  unsigned Pending = 0; ///< routed requests not yet answered
-  bool Eof = false;
-  bool CloseWhenFlushed = false;
-  bool ShutdownWanted = false, ShutdownAcked = false;
-  std::string ShutdownId;
-
-  size_t unsent() const { return WriteBuf.size() - WriteOff; }
-};
-
 /// One supervised c4-serve worker process and its backhaul connection.
 struct Worker {
   unsigned Index = 0;
@@ -295,8 +192,6 @@ struct Worker {
   /// Send times of the unanswered pings, oldest first. The worker answers
   /// pings in order, so each reply retires the front.
   std::deque<Clock::time_point> UnansweredPings;
-
-  size_t unsent() const { return WriteBuf.size() - WriteOff; }
 };
 
 /// One routed request (or liveness ping) awaiting a worker reply.
@@ -321,145 +216,13 @@ struct RouterConfig {
   bool Incremental = false;  ///< forward --incremental-cache to workers
 };
 
-class Router {
+class Router : public LineServer {
 public:
-  Router(const RouterConfig &CfgArg) : Cfg(CfgArg) {}
-
-  ~Router() {
-    StopSignalFd.store(-1);
-    ChildSignalFd.store(-1);
-    for (int Fd : {SigPipe[0], SigPipe[1], ChldPipe[0], ChldPipe[1]})
-      if (Fd >= 0)
-        ::close(Fd);
-  }
-
-  bool ok() const { return Loop.ok(); }
-
-  bool listenUnix(const std::string &Path) {
-    int Fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (Fd < 0) {
-      std::fprintf(stderr, "error: socket: %s\n", std::strerror(errno));
-      return false;
-    }
-    sockaddr_un Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sun_family = AF_UNIX;
-    if (Path.size() >= sizeof(Addr.sun_path)) {
-      std::fprintf(stderr, "error: socket path too long\n");
-      ::close(Fd);
-      return false;
-    }
-    std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-    ::unlink(Path.c_str());
-    if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0 ||
-        ::listen(Fd, 1024) < 0) {
-      std::fprintf(stderr, "error: cannot listen on %s: %s\n", Path.c_str(),
-                   std::strerror(errno));
-      ::close(Fd);
-      return false;
-    }
-    UnixPath = Path;
-    ListenFds.push_back(Fd);
-    std::fprintf(stderr, "c4-router: listening on %s\n", Path.c_str());
-    return true;
-  }
-
-  bool listenTcp(const std::string &Spec) {
-    size_t Colon = Spec.rfind(':');
-    if (Colon == std::string::npos) {
-      std::fprintf(stderr, "error: --tcp expects HOST:PORT, got '%s'\n",
-                   Spec.c_str());
-      return false;
-    }
-    std::string Host = Spec.substr(0, Colon);
-    std::string Port = Spec.substr(Colon + 1);
-    if (Host.empty())
-      Host = "127.0.0.1";
-
-    addrinfo Hints;
-    std::memset(&Hints, 0, sizeof(Hints));
-    Hints.ai_family = AF_UNSPEC;
-    Hints.ai_socktype = SOCK_STREAM;
-    Hints.ai_flags = AI_PASSIVE | AI_NUMERICSERV;
-    addrinfo *Res = nullptr;
-    int Rc = ::getaddrinfo(Host.c_str(), Port.c_str(), &Hints, &Res);
-    if (Rc != 0) {
-      std::fprintf(stderr, "error: cannot resolve %s: %s\n", Spec.c_str(),
-                   ::gai_strerror(Rc));
-      return false;
-    }
-    int Fd = -1;
-    for (addrinfo *AI = Res; AI; AI = AI->ai_next) {
-      Fd = ::socket(AI->ai_family,
-                    AI->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                    AI->ai_protocol);
-      if (Fd < 0)
-        continue;
-      int One = 1;
-      ::setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-      if (::bind(Fd, AI->ai_addr, AI->ai_addrlen) == 0 &&
-          ::listen(Fd, 1024) == 0)
-        break;
-      ::close(Fd);
-      Fd = -1;
-    }
-    ::freeaddrinfo(Res);
-    if (Fd < 0) {
-      std::fprintf(stderr, "error: cannot listen on %s: %s\n", Spec.c_str(),
-                   std::strerror(errno));
-      return false;
-    }
-
-    sockaddr_storage Bound;
-    socklen_t Len = sizeof(Bound);
-    char HostBuf[NI_MAXHOST] = "?", PortBuf[NI_MAXSERV] = "?";
-    if (::getsockname(Fd, reinterpret_cast<sockaddr *>(&Bound), &Len) == 0)
-      ::getnameinfo(reinterpret_cast<sockaddr *>(&Bound), Len, HostBuf,
-                    sizeof(HostBuf), PortBuf, sizeof(PortBuf),
-                    NI_NUMERICHOST | NI_NUMERICSERV);
-    ListenFds.push_back(Fd);
-    std::fprintf(stderr, "c4-router: listening on %s:%s\n", HostBuf, PortBuf);
-    return true;
-  }
+  Router(const RouterConfig &CfgArg) : LineServer("c4-router"), Cfg(CfgArg) {}
 
   int run() {
-    if (::pipe(SigPipe) == 0) {
-      for (int Fd : SigPipe)
-        ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL) | O_NONBLOCK);
-      StopSignalFd.store(SigPipe[1]);
-      struct sigaction SA;
-      std::memset(&SA, 0, sizeof(SA));
-      SA.sa_handler = onStopSignal;
-      ::sigemptyset(&SA.sa_mask);
-      ::sigaction(SIGTERM, &SA, nullptr);
-      ::sigaction(SIGINT, &SA, nullptr);
-      Loop.add(SigPipe[0], EventLoop::Read, [this](unsigned) {
-        char Buf[64];
-        while (::read(SigPipe[0], Buf, sizeof(Buf)) > 0) {
-        }
-        startDrain("signal");
-      });
-    }
-    if (::pipe(ChldPipe) == 0) {
-      for (int Fd : ChldPipe)
-        ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL) | O_NONBLOCK);
-      ChildSignalFd.store(ChldPipe[1]);
-      struct sigaction SA;
-      std::memset(&SA, 0, sizeof(SA));
-      SA.sa_handler = onChildSignal;
-      ::sigemptyset(&SA.sa_mask);
-      SA.sa_flags = SA_NOCLDSTOP;
-      ::sigaction(SIGCHLD, &SA, nullptr);
-      Loop.add(ChldPipe[0], EventLoop::Read, [this](unsigned) {
-        char Buf[64];
-        while (::read(ChldPipe[0], Buf, sizeof(Buf)) > 0) {
-        }
-        reapWorkers();
-      });
-    }
-    for (int Fd : ListenFds)
-      Loop.add(Fd, EventLoop::Read,
-               [this, Fd](unsigned) { acceptReady(Fd); });
+    start();
+    onSignal(SIGCHLD, SA_NOCLDSTOP, [this] { reapWorkers(); });
 
     Fleet.resize(Cfg.Workers);
     for (unsigned I = 0; I != Cfg.Workers; ++I) {
@@ -482,10 +245,9 @@ public:
 
     // Clean-path invariant: nothing in flight, all buffers flushed. Any
     // leftovers here are a firm drain's casualties and count as dropped.
-    while (!Conns.empty())
-      closeConn(*Conns.begin()->second, /*CountDrops=*/true);
+    closeAll();
     for (const auto &[Seq, P] : Pendings)
-      DroppedReplies += P.Kind == Pending::ClientReq;
+      Counters.RepliesDropped += P.Kind == Pending::ClientReq;
     for (Worker &W : Fleet) {
       if (W.Spawned && W.Pid > 0)
         ::kill(W.Pid, SIGKILL);
@@ -506,10 +268,6 @@ public:
         break;
       ::usleep(20000);
     }
-    for (int Fd : ListenFds)
-      ::close(Fd);
-    if (!UnixPath.empty())
-      ::unlink(UnixPath.c_str());
     cleanupRunDir();
     return 0;
   }
@@ -673,39 +431,17 @@ private:
       flushWorker(W);
     if (!(Ev & EventLoop::Read) || !W.Up)
       return;
-    char Buf[65536];
-    for (;;) {
-      ssize_t N = ::read(W.Fd, Buf, sizeof(Buf));
-      if (N > 0) {
-        W.ReadBuf.append(Buf, static_cast<size_t>(N));
-        continue;
-      }
-      if (N == 0) {
-        // The worker half is gone (exit or crash mid-write). Whatever it
-        // still owed is re-routed; the SIGCHLD path handles the restart.
-        killWorker(W);
-        return;
-      }
-      if (errno == EINTR)
-        continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
-        break;
+    bool Eof = false;
+    if (!readAvailable(W.Fd, W.ReadBuf, Eof) || Eof) {
+      // The worker half is gone (exit or crash mid-write). Whatever it
+      // still owed is re-routed; the SIGCHLD path handles the restart.
       killWorker(W);
       return;
     }
-    size_t Start = 0;
-    for (;;) {
-      size_t Nl = W.ReadBuf.find('\n', Start);
-      if (Nl == std::string::npos)
-        break;
-      std::string Line = W.ReadBuf.substr(Start, Nl - Start);
-      Start = Nl + 1;
-      if (!Line.empty())
-        workerReply(W, Line);
-      if (!W.Up)
-        return; // the reply handler may have torn the worker down
-    }
-    W.ReadBuf.erase(0, Start);
+    eachLine(W.ReadBuf, [&](const std::string &Line) {
+      workerReply(W, Line);
+      return W.Up; // the reply handler may have torn the worker down
+    });
   }
 
   void sendToWorker(Worker &W, const std::string &Line) {
@@ -717,27 +453,17 @@ private:
   void flushWorker(Worker &W) {
     if (!W.Up)
       return;
-    while (W.WriteOff < W.WriteBuf.size()) {
-      ssize_t N = ::send(W.Fd, W.WriteBuf.data() + W.WriteOff,
-                         W.WriteBuf.size() - W.WriteOff, MSG_NOSIGNAL);
-      if (N > 0) {
-        W.WriteOff += static_cast<size_t>(N);
-        continue;
-      }
-      if (N < 0 && errno == EINTR)
-        continue;
-      if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        Loop.setInterest(W.Fd, EventLoop::Read | EventLoop::Write);
-        return;
-      }
+    switch (sendBuffered(W.Fd, W.WriteBuf, W.WriteOff)) {
+    case SendResult::Done:
+      Loop.setInterest(W.Fd, EventLoop::Read);
+      break;
+    case SendResult::Blocked:
+      Loop.setInterest(W.Fd, EventLoop::Read | EventLoop::Write);
+      break;
+    case SendResult::Failed:
       killWorker(W);
-      return;
+      break;
     }
-    if (W.WriteOff) {
-      W.WriteBuf.clear();
-      W.WriteOff = 0;
-    }
-    Loop.setInterest(W.Fd, EventLoop::Read);
   }
 
   //===--------------------------------------------------------------------===
@@ -795,17 +521,7 @@ private:
       return;
     Pending P = std::move(It->second);
     Pendings.erase(It);
-    auto CIt = Conns.find(P.ConnId);
-    if (CIt == Conns.end()) {
-      ++DroppedReplies;
-      return;
-    }
-    Conn &C = *CIt->second;
-    --C.Pending;
-    enqueue(C, errorReply(P.OrigId, Msg));
-    maybeAckShutdown(C);
-    if (flushConn(C))
-      maybeFinishConn(C);
+    reply(P.ConnId, errorReply(P.OrigId, Msg));
   }
 
   /// A full line from a worker: either a reply to a routed client request
@@ -833,17 +549,7 @@ private:
     Pendings.erase(It);
     W.InFlight.erase(Seq);
     ++RepliesRelayed;
-    auto CIt = Conns.find(P.ConnId);
-    if (CIt == Conns.end()) {
-      ++DroppedReplies; // client vanished while the fleet worked
-      return;
-    }
-    Conn &C = *CIt->second;
-    --C.Pending;
-    enqueue(C, "{\"id\": " + P.OrigId + Line.substr(RestPos));
-    maybeAckShutdown(C);
-    if (flushConn(C))
-      maybeFinishConn(C);
+    reply(P.ConnId, "{\"id\": " + P.OrigId + Line.substr(RestPos));
   }
 
   //===--------------------------------------------------------------------===
@@ -886,147 +592,34 @@ private:
   // Client side
   //===--------------------------------------------------------------------===
 
-  void acceptReady(int ListenFd) {
-    for (;;) {
-      int Fd = ::accept4(ListenFd, nullptr, nullptr,
-                         SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (Fd < 0) {
-        if (errno == EINTR)
-          continue;
-        return;
-      }
-      int One = 1; // harmless ENOPROTOOPT on AF_UNIX
-      ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-      ++Connections;
-      uint64_t Id = ++NextConnId;
-      auto C = std::make_unique<Conn>();
-      C->Fd = Fd;
-      C->Id = Id;
-      Conns.emplace(Id, std::move(C));
-      Loop.add(Fd, EventLoop::Read,
-               [this, Id](unsigned Ev) { connEvent(Id, Ev); });
-    }
-  }
-
-  void connEvent(uint64_t Id, unsigned Ev) {
-    auto It = Conns.find(Id);
-    if (It == Conns.end())
-      return;
-    Conn &C = *It->second;
-    if (Ev & EventLoop::Error) {
-      closeConn(C, /*CountDrops=*/true);
-      return;
-    }
-    if (Ev & EventLoop::Write)
-      if (!flushConn(C))
-        return;
-    if (Ev & EventLoop::Read)
-      readable(C);
-  }
-
-  void readable(Conn &C) {
-    char Buf[65536];
-    for (;;) {
-      ssize_t N = ::read(C.Fd, Buf, sizeof(Buf));
-      if (N > 0) {
-        C.ReadBuf.append(Buf, static_cast<size_t>(N));
-        continue;
-      }
-      if (N == 0) {
-        C.Eof = true;
-        break;
-      }
-      if (errno == EINTR)
-        continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
-        break;
-      closeConn(C, /*CountDrops=*/true);
-      return;
-    }
-
-    if (C.ReadBuf.size() > kMaxLineBytes &&
-        C.ReadBuf.find('\n') == std::string::npos) {
-      enqueue(C, errorReply("null", "request line exceeds " +
-                                        std::to_string(kMaxLineBytes) +
-                                        " bytes"));
-      C.Eof = true;
-      C.CloseWhenFlushed = true;
-      flushConn(C);
-      return;
-    }
-
-    size_t Start = 0;
-    for (;;) {
-      size_t Nl = C.ReadBuf.find('\n', Start);
-      if (Nl == std::string::npos)
-        break;
-      std::string Line = C.ReadBuf.substr(Start, Nl - Start);
-      Start = Nl + 1;
-      while (!Line.empty() && Line.back() == '\r')
-        Line.pop_back();
-      if (!Line.empty())
-        processLine(C, Line);
-    }
-    C.ReadBuf.erase(0, Start);
-    if (C.Eof)
-      C.ReadBuf.clear();
-
-    if (!flushConn(C))
-      return;
-    maybeFinishConn(C);
-  }
-
-  void processLine(Conn &C, const std::string &Line) {
-    std::string Err;
-    std::optional<JsonValue> Req = parseJson(Line, Err);
-    if (!Req) {
-      enqueue(C, errorReply("null", Err));
-      return;
-    }
-    std::string Id = renderId(Req->get("id"));
-    if (!Req->asObject()) {
-      enqueue(C, errorReply(Id, "request must be a JSON object"));
-      return;
-    }
-    if (const JsonValue *Op = Req->get("op")) {
-      const std::string *Name = Op->asString();
-      if (!Name) {
-        enqueue(C, errorReply(Id, "op expects a string"));
-        return;
-      }
-      if (*Name == "shutdown") {
-        C.ShutdownWanted = true;
-        C.ShutdownId = Id;
-        maybeAckShutdown(C);
-        return;
-      }
-      if (*Name == "ping") {
-        enqueue(C, "{\"id\": " + Id +
-                       ", \"ok\": true, \"pong\": true, \"router\": true}");
-        return;
-      }
-      if (*Name == "stats") {
-        enqueue(C, statsReply(Id));
-        return;
-      }
-      enqueue(C, errorReply(Id, "unknown op '" + *Name + "'"));
-      return;
-    }
-    // An analysis request: assign an internal id, remember the original,
-    // and hand it to the rendezvous ring. Admission control runs in the
-    // workers; their overload replies relay like any other.
+  /// An analysis request: assign an internal id, remember the original,
+  /// and hand it to the rendezvous ring. Admission control runs in the
+  /// workers; their overload replies relay like any other.
+  void onRequest(Conn &C, const JsonValue &Req, const std::string &Id,
+                 const std::string &) override {
     uint64_t Seq = nextSeq();
     Pending P;
     P.Kind = Pending::ClientReq;
     P.ConnId = C.Id;
     P.OrigId = Id;
-    P.Key = routingKey(*Req);
-    P.Line = rewriteId(*Req, Seq);
+    P.Key = routingKey(Req);
+    P.Line = rewriteId(Req, Seq);
     Pendings.emplace(Seq, std::move(P));
     ++C.Pending;
     ++RequestsRouted;
     RouteQueue.push_back(Seq);
     routeQueued();
+  }
+
+  /// ping and stats never touch a worker.
+  std::string controlReply(const std::string &Op,
+                           const std::string &Id) override {
+    if (Op == "ping")
+      return "{\"id\": " + Id +
+             ", \"ok\": true, \"pong\": true, \"router\": true}";
+    if (Op == "stats")
+      return statsReply(Id);
+    return errorReply(Id, "unknown op '" + Op + "'");
   }
 
   std::string statsReply(const std::string &Id) {
@@ -1049,75 +642,14 @@ private:
            ", \"workers\": " + std::to_string(Fleet.size()) +
            ", \"workers_up\": " + std::to_string(UpCount) +
            ", \"worker_restarts\": " + std::to_string(WorkerRestarts) +
-           ", \"connections\": " + std::to_string(Connections) +
+           ", \"connections\": " + std::to_string(Counters.Connections) +
            ", \"requests_routed\": " + std::to_string(RequestsRouted) +
            ", \"replies_relayed\": " + std::to_string(RepliesRelayed) +
-           ", \"replies_dropped\": " + std::to_string(DroppedReplies) +
+           ", \"replies_dropped\": " +
+           std::to_string(Counters.RepliesDropped) +
            ", \"rerouted_requests\": " + std::to_string(ReroutedRequests) +
            ", \"relay_errors\": " + std::to_string(RelayErrors) +
            ", \"workers_detail\": " + Detail + "}";
-  }
-
-  void maybeAckShutdown(Conn &C) {
-    if (!C.ShutdownWanted || C.ShutdownAcked || C.Pending != 0)
-      return;
-    C.ShutdownAcked = true;
-    C.CloseWhenFlushed = true;
-    enqueue(C, "{\"id\": " + C.ShutdownId + ", \"ok\": true, "
-                                            "\"shutdown\": true}");
-    startDrain("shutdown op");
-  }
-
-  void enqueue(Conn &C, const std::string &Reply) {
-    C.WriteBuf += Reply;
-    C.WriteBuf += '\n';
-  }
-
-  bool flushConn(Conn &C) {
-    while (C.WriteOff < C.WriteBuf.size()) {
-      ssize_t N = ::send(C.Fd, C.WriteBuf.data() + C.WriteOff,
-                         C.WriteBuf.size() - C.WriteOff, MSG_NOSIGNAL);
-      if (N > 0) {
-        C.WriteOff += static_cast<size_t>(N);
-        continue;
-      }
-      if (N < 0 && errno == EINTR)
-        continue;
-      if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        Loop.setInterest(C.Fd, (C.Eof ? 0u : EventLoop::Read) |
-                                   EventLoop::Write);
-        return true;
-      }
-      closeConn(C, /*CountDrops=*/true);
-      return false;
-    }
-    if (C.WriteOff) {
-      C.WriteBuf.clear();
-      C.WriteOff = 0;
-    }
-    Loop.setInterest(C.Fd, C.Eof ? 0u : EventLoop::Read);
-    if (C.CloseWhenFlushed) {
-      closeConn(C, /*CountDrops=*/false);
-      return false;
-    }
-    return true;
-  }
-
-  void maybeFinishConn(Conn &C) {
-    if (C.Eof && C.Pending == 0 && C.unsent() == 0)
-      closeConn(C, /*CountDrops=*/false);
-  }
-
-  void closeConn(Conn &C, bool CountDrops) {
-    if (CountDrops) {
-      uint64_t Drops = 0;
-      for (size_t I = C.WriteOff; I < C.WriteBuf.size(); ++I)
-        Drops += C.WriteBuf[I] == '\n';
-      DroppedReplies += Drops;
-    }
-    Loop.remove(C.Fd);
-    ::close(C.Fd);
-    Conns.erase(C.Id); // invalidates C
   }
 
   //===--------------------------------------------------------------------===
@@ -1142,41 +674,19 @@ private:
       drainStep(Now);
   }
 
-  void startDrain(const char *Why) {
-    if (Draining)
-      return;
-    Draining = true;
+  void onDrain() override {
     DrainHard = DrainStopWorkers = false;
     if (Cfg.DrainTimeoutMs)
       DrainBy = Clock::now() + std::chrono::milliseconds(Cfg.DrainTimeoutMs);
     else
       DrainBy = Clock::time_point::max();
-    for (int Fd : ListenFds) {
-      Loop.remove(Fd);
-      ::close(Fd);
-    }
-    ListenFds.clear();
-    if (!UnixPath.empty()) {
-      ::unlink(UnixPath.c_str());
-      UnixPath.clear();
-    }
+  }
+
+  uint64_t inFlight() const override {
     uint64_t ClientInFlight = 0;
     for (const auto &[Seq, P] : Pendings)
       ClientInFlight += P.Kind == Pending::ClientReq;
-    std::fprintf(
-        stderr,
-        "c4-router: draining (%s): %llu in flight, %zu connection(s)\n", Why,
-        static_cast<unsigned long long>(ClientInFlight), Conns.size());
-  }
-
-  bool clientWorkDone() const {
-    for (const auto &[Seq, P] : Pendings)
-      if (P.Kind == Pending::ClientReq)
-        return false;
-    for (const auto &[Id, C] : Conns)
-      if (C->unsent())
-        return false;
-    return true;
+    return ClientInFlight;
   }
 
   void drainStep(Clock::time_point Now) {
@@ -1190,7 +700,7 @@ private:
           ::kill(W.Pid, SIGKILL);
       return;
     }
-    if (!DrainStopWorkers && clientWorkDone()) {
+    if (!DrainStopWorkers && !inFlight() && !unsentReplies()) {
       // All clients answered: stop the workers.
       for (Worker &W : Fleet) {
         flushWorker(W);
@@ -1213,13 +723,10 @@ private:
   void cleanupRunDir() {
     for (Worker &W : Fleet)
       ::unlink(W.SockPath.c_str());
-    if (!Cfg.TempRunDir)
-      return;
-    for (Worker &W : Fleet) {
-      ::unlink(W.ErrPath.c_str());
-      removeTree(W.CacheDir);
+    if (Cfg.TempRunDir) {
+      std::error_code Ec; // best effort: nothing to report it to
+      std::filesystem::remove_all(Cfg.RunDir, Ec);
     }
-    ::rmdir(Cfg.RunDir.c_str());
   }
 
   int nextTimeoutMs() const {
@@ -1250,23 +757,17 @@ private:
 
   RouterConfig Cfg;
 
-  EventLoop Loop;
-  std::vector<int> ListenFds;
-  std::string UnixPath;
-  int SigPipe[2] = {-1, -1}, ChldPipe[2] = {-1, -1};
-
   std::vector<Worker> Fleet;
-  std::unordered_map<uint64_t, std::unique_ptr<Conn>> Conns;
   std::unordered_map<uint64_t, Pending> Pendings;
   std::deque<uint64_t> RouteQueue; ///< seqs waiting for a live worker
 
-  uint64_t NextConnId = 0, NextSeqNum = 0;
-  uint64_t Connections = 0, RequestsRouted = 0, RepliesRelayed = 0;
-  uint64_t DroppedReplies = 0, ReroutedRequests = 0, RelayErrors = 0;
+  uint64_t NextSeqNum = 0;
+  uint64_t RequestsRouted = 0, RepliesRelayed = 0;
+  uint64_t ReroutedRequests = 0, RelayErrors = 0;
   uint64_t WorkerRestarts = 0;
 
   Clock::time_point NextPingAt = Clock::time_point::max();
-  bool Draining = false, DrainHard = false, DrainStopWorkers = false;
+  bool DrainHard = false, DrainStopWorkers = false;
   Clock::time_point DrainBy{};
 };
 

@@ -40,8 +40,12 @@
 /// The socket modes run a single poll(2) event-loop thread (one fd per
 /// connection, no thread-per-connection) in front of the worker pool, so
 /// thousands of mostly-idle connections cost one poll set, not thousands
-/// of threads. Identical concurrent requests are collapsed by the cache's
-/// single-flight layer: one backend run per analysis fingerprint.
+/// of threads. Listeners, line framing, reply buffering and the drain
+/// signals are the client-connection layer shared with c4-router
+/// (support/LineServer.h); this file adds admission control, the worker
+/// pool, stdin mode and the stats op. Identical concurrent requests are
+/// collapsed by the cache's single-flight layer: one backend run per
+/// analysis fingerprint.
 ///
 /// Request object (one per line):
 ///   {"id": ..., "program": "<c4l source>"}        inline source, or
@@ -90,12 +94,10 @@
 #include "frontend/Frontend.h"
 #include "passes/PassManager.h"
 #include "support/Deadline.h"
-#include "support/EventLoop.h"
-#include "support/Json.h"
+#include "support/Format.h"
+#include "support/LineServer.h"
 #include "support/ThreadPool.h"
 
-#include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -107,14 +109,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace c4;
@@ -128,54 +123,6 @@ int usage(const char *Prog) {
                "[--cache-dir DIR] [--incremental-cache DIR]\n",
                Prog);
   return 2;
-}
-
-bool parseCount(const char *Flag, const char *Text, unsigned &Out) {
-  if (!Text || !*Text || *Text == '-' || *Text == '+') {
-    std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
-                 Flag, Text ? Text : "");
-    return false;
-  }
-  errno = 0;
-  char *End = nullptr;
-  unsigned long V = std::strtoul(Text, &End, 10);
-  if (errno == ERANGE || *End != '\0' || V > 0xFFFFFFFFul) {
-    std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
-                 Flag, Text);
-    return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-
-/// Serving-layer counters surfaced by the stats op next to the cache
-/// counters. Atomics: the loop thread writes, stdin-mode pool workers read.
-struct ServerCounters {
-  std::atomic<uint64_t> Connections{0};    ///< connections accepted
-  std::atomic<uint64_t> DroppedReplies{0}; ///< replies a dead peer never got
-  std::atomic<uint64_t> Overloads{0};      ///< backpressure rejections
-  /// Per-transport accept/close counts. A supervisor polling stats can
-  /// distinguish an idle worker (accepts keep advancing) from a wedged one
-  /// (accepts frozen while its peers' move) without guessing from totals.
-  std::atomic<uint64_t> UnixAccepts{0}, UnixCloses{0};
-  std::atomic<uint64_t> TcpAccepts{0}, TcpCloses{0};
-};
-
-/// Renders a request id for echoing. Only strings and integers are
-/// preserved; anything else (or a missing id) echoes as null.
-std::string renderId(const JsonValue *Id) {
-  if (Id) {
-    if (const std::string *S = Id->asString())
-      return "\"" + jsonEscape(*S) + "\"";
-    if (std::optional<int64_t> I = Id->asInt())
-      return std::to_string(*I);
-  }
-  return "null";
-}
-
-std::string errorReply(const std::string &Id, const std::string &Msg) {
-  return "{\"id\": " + Id + ", \"ok\": false, \"error\": \"" +
-         jsonEscape(Msg) + "\"}";
 }
 
 /// The admission-control backpressure reply: the request was not queued;
@@ -228,8 +175,10 @@ bool readFlag(const JsonValue &Req, const char *Key, bool &Out,
   return true;
 }
 
+/// The stats op's reply. \p CC and \p Overloads are the serving
+/// counters; stdin mode has none to report.
 std::string statsReply(const std::string &Id, AnalysisCache *Cache,
-                       const ServerCounters &SC) {
+                       const ConnCounters &CC, uint64_t Overloads) {
   DiskCacheStats D = Cache ? Cache->diskStats() : DiskCacheStats{};
   bool Incr = Cache && Cache->incremental();
   char Buf[2048];
@@ -257,30 +206,27 @@ std::string statsReply(const std::string &Id, AnalysisCache *Cache,
       static_cast<unsigned long long>(D.Stores), Incr ? "true" : "false",
       Incr ? Cache->incrRecords() : size_t(0),
       Incr ? Cache->incrTxns() : size_t(0),
-      static_cast<unsigned long long>(SC.Connections.load()),
-      static_cast<unsigned long long>(SC.DroppedReplies.load()),
-      static_cast<unsigned long long>(SC.Overloads.load()),
-      static_cast<unsigned long long>(SC.UnixAccepts.load()),
-      static_cast<unsigned long long>(SC.UnixCloses.load()),
-      static_cast<unsigned long long>(SC.TcpAccepts.load()),
-      static_cast<unsigned long long>(SC.TcpCloses.load()));
+      static_cast<unsigned long long>(CC.Connections),
+      static_cast<unsigned long long>(CC.RepliesDropped),
+      static_cast<unsigned long long>(Overloads),
+      static_cast<unsigned long long>(CC.UnixAccepts),
+      static_cast<unsigned long long>(CC.UnixCloses),
+      static_cast<unsigned long long>(CC.TcpAccepts),
+      static_cast<unsigned long long>(CC.TcpCloses));
   return Buf;
 }
 
 /// Replies for the cheap control operations (ping / stats / unknown op).
 /// Callers intercept "shutdown" before getting here — it needs the serving
 /// loop's drain machinery, not a worker.
-std::string controlReply(const JsonValue &Req, const std::string &Id,
-                         AnalysisCache *Cache, const ServerCounters &SC) {
-  const JsonValue *Op = Req.get("op");
-  const std::string *Name = Op ? Op->asString() : nullptr;
-  if (!Name)
-    return errorReply(Id, "op expects a string");
-  if (*Name == "ping")
+std::string opReply(const std::string &Op, const std::string &Id,
+                    AnalysisCache *Cache, const ConnCounters &CC,
+                    uint64_t Overloads) {
+  if (Op == "ping")
     return "{\"id\": " + Id + ", \"ok\": true, \"pong\": true}";
-  if (*Name == "stats")
-    return statsReply(Id, Cache, SC);
-  return errorReply(Id, "unknown op '" + *Name + "'");
+  if (Op == "stats")
+    return statsReply(Id, Cache, CC, Overloads);
+  return errorReply(Id, "unknown op '" + Op + "'");
 }
 
 /// One Z3 environment per pool thread, reused across the requests the
@@ -296,7 +242,6 @@ thread_local std::unique_ptr<Z3Env> WorkerEnv;
 /// drain can trip it (the run then winds down to a partial-but-sound
 /// verdict instead of holding up the exit).
 std::string handleRequest(const std::string &Line, AnalysisCache *Cache,
-                          ServerCounters &SC,
                           Deadline *RequestDeadline = nullptr) {
   std::string Err;
   std::optional<JsonValue> Req = parseJson(Line, Err);
@@ -306,11 +251,14 @@ std::string handleRequest(const std::string &Line, AnalysisCache *Cache,
   if (!Req->asObject())
     return errorReply(Id, "request must be a JSON object");
 
-  // Control operations ("shutdown" is interpreted by the serving loops;
-  // reaching controlReply with it means it arrived somewhere unexpected
-  // and reads as an unknown op — the loops catch it first).
-  if (Req->get("op"))
-    return controlReply(*Req, Id, Cache, SC);
+  // Control operations, stdin mode (the socket loop answers them itself).
+  // "shutdown" is caught by serveStdin first; reaching opReply with it
+  // reads as an unknown op.
+  if (const JsonValue *Op = Req->get("op")) {
+    const std::string *Name = Op->asString();
+    return Name ? opReply(*Name, Id, Cache, ConnCounters(), 0)
+                : errorReply(Id, "op expects a string");
+  }
 
   // Source acquisition: inline program or server-side file.
   std::string Source, Label;
@@ -455,8 +403,7 @@ bool isShutdown(const std::string &Line, std::string &IdOut) {
 }
 
 /// Serves the stdin/stdout JSON-lines session. Returns the exit code.
-int serveStdin(unsigned Workers, AnalysisCache *Cache,
-               ServerCounters &Counters) {
+int serveStdin(unsigned Workers, AnalysisCache *Cache) {
   std::mutex OutMu;
   bool SawShutdown = false;
   {
@@ -470,8 +417,8 @@ int serveStdin(unsigned Workers, AnalysisCache *Cache,
         SawShutdown = true;
         break;
       }
-      Pool.submit([Line, Cache, &OutMu, &Counters] {
-        std::string Reply = handleRequest(Line, Cache, Counters);
+      Pool.submit([Line, Cache, &OutMu] {
+        std::string Reply = handleRequest(Line, Cache);
         std::lock_guard<std::mutex> Lock(OutMu);
         std::fputs(Reply.c_str(), stdout);
         std::fputc('\n', stdout);
@@ -491,180 +438,28 @@ int serveStdin(unsigned Workers, AnalysisCache *Cache,
 // The socket serving tier: poll event loop + worker pool.
 //===----------------------------------------------------------------------===//
 
-/// Hostile-client guard: a request line may not exceed this many bytes.
-constexpr size_t kMaxLineBytes = 32u << 20;
 /// Grace after a firm drain cancels in-flight work: how long the loop keeps
 /// delivering the wind-down replies before force-closing.
 constexpr unsigned kDrainGraceMs = 2000;
 
-/// Write end of the stop-signal self-pipe. A one-byte write is the only
-/// async-signal-safe way to hand SIGTERM to the event loop.
-std::atomic<int> StopSignalFd{-1};
-
-extern "C" void onStopSignal(int) {
-  int Fd = StopSignalFd.load(std::memory_order_relaxed);
-  if (Fd >= 0) {
-    char B = 1;
-    ssize_t N = ::write(Fd, &B, 1);
-    (void)N;
-  }
-}
-
-/// One client connection's loop-thread state. Replies buffer in WriteBuf
-/// (WriteOff marks the sent prefix) and drain as the peer accepts them;
-/// a connection with outstanding requests survives read-EOF so completed
-/// analyses still reach a half-closed but reading peer.
-struct Conn {
-  int Fd = -1;
-  uint64_t Id = 0;
-  bool Tcp = false; ///< which transport accepted this connection
-  std::string ReadBuf;
-  std::string WriteBuf;
-  size_t WriteOff = 0;
-  unsigned Pending = 0; ///< submitted analyses not yet delivered
-  bool Eof = false;     ///< peer closed its write side (or poisoned input)
-  bool CloseWhenFlushed = false;
-  bool ShutdownWanted = false, ShutdownAcked = false;
-  std::string ShutdownId;
-
-  size_t unsent() const { return WriteBuf.size() - WriteOff; }
-};
-
-class Server {
+class Server : public LineServer {
 public:
   Server(unsigned Workers, unsigned MaxInflightArg, unsigned DrainMsArg,
-         AnalysisCache *CacheArg, ServerCounters &CountersArg)
-      : MaxInflight(MaxInflightArg), DrainTimeoutMs(DrainMsArg),
-        Cache(CacheArg), Counters(CountersArg), Pool(Workers) {}
-
-  ~Server() {
-    StopSignalFd.store(-1);
-    if (SigPipe[0] >= 0)
-      ::close(SigPipe[0]);
-    if (SigPipe[1] >= 0)
-      ::close(SigPipe[1]);
-  }
-
-  bool ok() const { return Loop.ok(); }
-
-  bool listenUnix(const std::string &Path) {
-    int Fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (Fd < 0) {
-      std::fprintf(stderr, "error: socket: %s\n", std::strerror(errno));
-      return false;
-    }
-    sockaddr_un Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sun_family = AF_UNIX;
-    if (Path.size() >= sizeof(Addr.sun_path)) {
-      std::fprintf(stderr, "error: socket path too long\n");
-      ::close(Fd);
-      return false;
-    }
-    std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-    ::unlink(Path.c_str()); // stale socket from a previous run
-    if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0 ||
-        ::listen(Fd, 1024) < 0) {
-      std::fprintf(stderr, "error: cannot listen on %s: %s\n", Path.c_str(),
-                   std::strerror(errno));
-      ::close(Fd);
-      return false;
-    }
-    UnixPath = Path;
-    Listeners.push_back({Fd, /*Tcp=*/false});
-    std::fprintf(stderr, "c4-serve: listening on %s\n", Path.c_str());
-    return true;
-  }
-
-  /// \p Spec is HOST:PORT; port 0 lets the kernel pick (the bound address
-  /// is printed, which is how harnesses discover the port).
-  bool listenTcp(const std::string &Spec) {
-    size_t Colon = Spec.rfind(':');
-    if (Colon == std::string::npos) {
-      std::fprintf(stderr, "error: --tcp expects HOST:PORT, got '%s'\n",
-                   Spec.c_str());
-      return false;
-    }
-    std::string Host = Spec.substr(0, Colon);
-    std::string Port = Spec.substr(Colon + 1);
-    if (Host.empty())
-      Host = "127.0.0.1";
-
-    addrinfo Hints;
-    std::memset(&Hints, 0, sizeof(Hints));
-    Hints.ai_family = AF_UNSPEC;
-    Hints.ai_socktype = SOCK_STREAM;
-    Hints.ai_flags = AI_PASSIVE | AI_NUMERICSERV;
-    addrinfo *Res = nullptr;
-    int Rc = ::getaddrinfo(Host.c_str(), Port.c_str(), &Hints, &Res);
-    if (Rc != 0) {
-      std::fprintf(stderr, "error: cannot resolve %s: %s\n", Spec.c_str(),
-                   ::gai_strerror(Rc));
-      return false;
-    }
-    int Fd = -1;
-    for (addrinfo *AI = Res; AI; AI = AI->ai_next) {
-      Fd = ::socket(AI->ai_family, AI->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                    AI->ai_protocol);
-      if (Fd < 0)
-        continue;
-      int One = 1;
-      ::setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-      if (::bind(Fd, AI->ai_addr, AI->ai_addrlen) == 0 &&
-          ::listen(Fd, 1024) == 0)
-        break;
-      ::close(Fd);
-      Fd = -1;
-    }
-    ::freeaddrinfo(Res);
-    if (Fd < 0) {
-      std::fprintf(stderr, "error: cannot listen on %s: %s\n", Spec.c_str(),
-                   std::strerror(errno));
-      return false;
-    }
-
-    sockaddr_storage Bound;
-    socklen_t Len = sizeof(Bound);
-    char HostBuf[NI_MAXHOST] = "?", PortBuf[NI_MAXSERV] = "?";
-    if (::getsockname(Fd, reinterpret_cast<sockaddr *>(&Bound), &Len) == 0)
-      ::getnameinfo(reinterpret_cast<sockaddr *>(&Bound), Len, HostBuf,
-                    sizeof(HostBuf), PortBuf, sizeof(PortBuf),
-                    NI_NUMERICHOST | NI_NUMERICSERV);
-    Listeners.push_back({Fd, /*Tcp=*/true});
-    std::fprintf(stderr, "c4-serve: listening on %s:%s\n", HostBuf, PortBuf);
-    return true;
-  }
+         AnalysisCache *CacheArg)
+      : LineServer("c4-serve"), MaxInflight(MaxInflightArg),
+        DrainTimeoutMs(DrainMsArg), Cache(CacheArg), Pool(Workers) {}
 
   int run() {
-    // Stop-signal plumbing: SIGTERM/SIGINT write one byte; the loop reads
-    // it and starts the drain. No SA_RESTART — poll() must wake.
-    if (::pipe(SigPipe) == 0) {
-      for (int Fd : SigPipe)
-        ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL) | O_NONBLOCK);
-      StopSignalFd.store(SigPipe[1]);
-      struct sigaction SA;
-      std::memset(&SA, 0, sizeof(SA));
-      SA.sa_handler = onStopSignal;
-      ::sigemptyset(&SA.sa_mask);
-      ::sigaction(SIGTERM, &SA, nullptr);
-      ::sigaction(SIGINT, &SA, nullptr);
-      Loop.add(SigPipe[0], EventLoop::Read, [this](unsigned) {
-        char Buf[64];
-        while (::read(SigPipe[0], Buf, sizeof(Buf)) > 0) {
-        }
-        startDrain("signal");
-      });
-    }
-    for (const Listener &L : Listeners)
-      Loop.add(L.Fd, EventLoop::Read,
-               [this, L](unsigned) { acceptReady(L.Fd, L.Tcp); });
-
+    start();
     bool CancelIssued = false;
     Deadline FlushDeadline;
     for (;;) {
       int Timeout = -1;
       if (Draining) {
-        if (drained())
+        // Drain completion: all admitted work delivered and every reply
+        // byte flushed. Idle connections do not block the drain — they
+        // are closed on exit.
+        if (!InFlight && !unsentReplies())
           break;
         if (!DrainDeadline.expired()) {
           unsigned Left = DrainDeadline.remainingMs(3600u * 1000);
@@ -694,13 +489,8 @@ public:
 
     // Close every remaining connection. On the clean path all buffers are
     // flushed and nothing is in flight, so nothing is counted as dropped.
-    while (!Conns.empty())
-      closeConn(*Conns.begin()->second, /*CountDrops=*/true);
-    Counters.DroppedReplies += InFlight; // deliveries that will never run
-    for (const Listener &L : Listeners)
-      ::close(L.Fd);
-    if (!UnixPath.empty())
-      ::unlink(UnixPath.c_str());
+    closeAll();
+    Counters.RepliesDropped += InFlight; // deliveries that will never run
     if (Cache)
       Cache->flush();
     // Everything durable is on disk and every deliverable byte is out —
@@ -715,292 +505,50 @@ public:
   }
 
 private:
-  void startDrain(const char *Why) {
-    if (Draining)
-      return;
-    Draining = true;
-    DrainDeadline.armIn(DrainTimeoutMs);
-    for (const Listener &L : Listeners) {
-      Loop.remove(L.Fd);
-      ::close(L.Fd);
-    }
-    Listeners.clear();
-    if (!UnixPath.empty()) {
-      ::unlink(UnixPath.c_str());
-      UnixPath.clear();
-    }
-    std::fprintf(stderr,
-                 "c4-serve: draining (%s): %llu in flight, %zu connection(s)\n",
-                 Why, static_cast<unsigned long long>(InFlight), Conns.size());
-  }
-
-  /// Drain completion: all admitted work delivered and every reply byte
-  /// flushed. Idle connections do not block the drain — they are closed on
-  /// exit.
-  bool drained() const {
-    if (InFlight)
-      return false;
-    for (const auto &[Id, C] : Conns)
-      if (C->unsent())
-        return false;
-    return true;
-  }
-
-  void acceptReady(int ListenFd, bool Tcp) {
-    for (;;) {
-      int Fd = ::accept4(ListenFd, nullptr, nullptr,
-                         SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (Fd < 0) {
-        if (errno == EINTR)
-          continue;
-        return; // EAGAIN or a transient error; poll re-arms
-      }
-      int One = 1; // harmless ENOPROTOOPT on AF_UNIX
-      ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-      ++Counters.Connections;
-      ++(Tcp ? Counters.TcpAccepts : Counters.UnixAccepts);
-      uint64_t Id = ++NextConnId;
-      auto C = std::make_unique<Conn>();
-      C->Fd = Fd;
-      C->Id = Id;
-      C->Tcp = Tcp;
-      Conns.emplace(Id, std::move(C));
-      Loop.add(Fd, EventLoop::Read,
-               [this, Id](unsigned Ev) { connEvent(Id, Ev); });
-    }
-  }
-
-  void connEvent(uint64_t Id, unsigned Ev) {
-    auto It = Conns.find(Id);
-    if (It == Conns.end())
-      return;
-    Conn &C = *It->second;
-    if (Ev & EventLoop::Error) {
-      closeConn(C, /*CountDrops=*/true);
-      return;
-    }
-    if (Ev & EventLoop::Write)
-      if (!flushConn(C))
-        return;
-    if (Ev & EventLoop::Read)
-      readable(C);
-  }
-
-  void readable(Conn &C) {
-    char Buf[65536];
-    for (;;) {
-      ssize_t N = ::read(C.Fd, Buf, sizeof(Buf));
-      if (N > 0) {
-        C.ReadBuf.append(Buf, static_cast<size_t>(N));
-        continue;
-      }
-      if (N == 0) {
-        C.Eof = true;
-        break;
-      }
-      if (errno == EINTR)
-        continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
-        break;
-      closeConn(C, /*CountDrops=*/true);
-      return;
-    }
-
-    if (C.ReadBuf.size() > kMaxLineBytes &&
-        C.ReadBuf.find('\n') == std::string::npos) {
-      // Hostile or broken client: an unbounded un-terminated line. Answer
-      // once and stop reading; the connection closes after the flush.
-      enqueue(C, errorReply("null", "request line exceeds " +
-                                        std::to_string(kMaxLineBytes) +
-                                        " bytes"));
-      C.Eof = true;
-      C.CloseWhenFlushed = true;
-      flushConn(C);
-      return;
-    }
-
-    size_t Start = 0;
-    for (;;) {
-      size_t Nl = C.ReadBuf.find('\n', Start);
-      if (Nl == std::string::npos)
-        break;
-      std::string Line = C.ReadBuf.substr(Start, Nl - Start);
-      Start = Nl + 1;
-      while (!Line.empty() && Line.back() == '\r')
-        Line.pop_back();
-      if (!Line.empty())
-        processLine(C, Line);
-    }
-    C.ReadBuf.erase(0, Start);
-    // A half-written trailing line at EOF is discarded: there is no peer
-    // left to answer and no newline to delimit a request.
-    if (C.Eof)
-      C.ReadBuf.clear();
-
-    if (!flushConn(C))
-      return;
-    maybeFinishConn(C);
-  }
-
-  /// Routes one request line: control ops inline (they stay responsive
-  /// under full load), analyses through admission control to the pool.
-  void processLine(Conn &C, const std::string &Line) {
-    std::string Err;
-    std::optional<JsonValue> Req = parseJson(Line, Err);
-    if (!Req) {
-      enqueue(C, errorReply("null", Err));
-      return;
-    }
-    std::string Id = renderId(Req->get("id"));
-    if (!Req->asObject()) {
-      enqueue(C, errorReply(Id, "request must be a JSON object"));
-      return;
-    }
-    if (const JsonValue *Op = Req->get("op")) {
-      const std::string *Name = Op->asString();
-      if (Name && *Name == "shutdown") {
-        C.ShutdownWanted = true;
-        C.ShutdownId = Id;
-        maybeAckShutdown(C);
-        return;
-      }
-      enqueue(C, controlReply(*Req, Id, Cache, Counters));
-      return;
-    }
+  /// Admission control, then the pool; the reply comes back on the loop
+  /// thread through reply().
+  void onRequest(Conn &C, const JsonValue &, const std::string &Id,
+                 const std::string &Line) override {
     if (MaxInflight && InFlight >= MaxInflight) {
-      ++Counters.Overloads;
+      ++Overloads;
       enqueue(C, overloadReply(Id, InFlight));
       return;
     }
-    submitAnalysis(C, Line);
-  }
-
-  void submitAnalysis(Conn &C, const std::string &Line) {
     uint64_t Seq = ++NextSeq;
     auto DL = std::make_shared<Deadline>();
     LiveDeadlines.emplace(Seq, DL);
     ++InFlight;
     ++C.Pending;
     uint64_t ConnId = C.Id;
-    AnalysisCache *Ca = Cache;
-    ServerCounters *Co = &Counters;
-    Pool.submit([this, Line, ConnId, Seq, DL, Ca, Co] {
-      std::string Reply = handleRequest(Line, Ca, *Co, DL.get());
+    Pool.submit([this, Line, ConnId, Seq, DL] {
+      std::string Reply = handleRequest(Line, Cache, DL.get());
       Loop.post([this, ConnId, Seq, Reply = std::move(Reply)] {
-        deliver(Seq, ConnId, Reply);
+        LiveDeadlines.erase(Seq);
+        --InFlight;
+        // A vanished peer loses this reply, not the result: it sits in
+        // the cache for the retry.
+        reply(ConnId, Reply);
       });
     });
   }
 
-  /// Loop-thread continuation of a completed analysis.
-  void deliver(uint64_t Seq, uint64_t ConnId, const std::string &Reply) {
-    LiveDeadlines.erase(Seq);
-    --InFlight;
-    auto It = Conns.find(ConnId);
-    if (It == Conns.end()) {
-      // The peer vanished while we worked; the result is not lost (it sits
-      // in the cache for the retry) but this reply is.
-      ++Counters.DroppedReplies;
-      return;
-    }
-    Conn &C = *It->second;
-    --C.Pending;
-    enqueue(C, Reply);
-    maybeAckShutdown(C);
-    if (!flushConn(C))
-      return;
-    maybeFinishConn(C);
+  std::string controlReply(const std::string &Op,
+                           const std::string &Id) override {
+    return opReply(Op, Id, Cache, Counters, Overloads);
   }
 
-  /// The shutdown op acks only after this connection's outstanding work is
-  /// delivered, then the whole server drains.
-  void maybeAckShutdown(Conn &C) {
-    if (!C.ShutdownWanted || C.ShutdownAcked || C.Pending != 0)
-      return;
-    C.ShutdownAcked = true;
-    C.CloseWhenFlushed = true;
-    enqueue(C, "{\"id\": " + C.ShutdownId + ", \"ok\": true, "
-                                            "\"shutdown\": true}");
-    startDrain("shutdown op");
-  }
+  uint64_t inFlight() const override { return InFlight; }
 
-  void enqueue(Conn &C, const std::string &Reply) {
-    C.WriteBuf += Reply;
-    C.WriteBuf += '\n';
-  }
-
-  /// Flushes buffered replies. Retries EINTR, parks on EAGAIN (POLLOUT
-  /// re-arms), and treats only real peer errors as fatal — in which case
-  /// every undelivered reply is counted dropped. Returns false when the
-  /// connection was closed.
-  bool flushConn(Conn &C) {
-    while (C.WriteOff < C.WriteBuf.size()) {
-      ssize_t N = ::send(C.Fd, C.WriteBuf.data() + C.WriteOff,
-                         C.WriteBuf.size() - C.WriteOff, MSG_NOSIGNAL);
-      if (N > 0) {
-        C.WriteOff += static_cast<size_t>(N);
-        continue;
-      }
-      if (N < 0 && errno == EINTR)
-        continue;
-      if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        Loop.setInterest(C.Fd, (C.Eof ? 0u : EventLoop::Read) |
-                                   EventLoop::Write);
-        return true;
-      }
-      closeConn(C, /*CountDrops=*/true);
-      return false;
-    }
-    if (C.WriteOff) {
-      C.WriteBuf.clear();
-      C.WriteOff = 0;
-    }
-    Loop.setInterest(C.Fd, C.Eof ? 0u : EventLoop::Read);
-    if (C.CloseWhenFlushed) {
-      closeConn(C, /*CountDrops=*/false);
-      return false;
-    }
-    return true;
-  }
-
-  void maybeFinishConn(Conn &C) {
-    if (C.Eof && C.Pending == 0 && C.unsent() == 0)
-      closeConn(C, /*CountDrops=*/false);
-  }
-
-  void closeConn(Conn &C, bool CountDrops) {
-    if (CountDrops) {
-      uint64_t Drops = 0;
-      for (size_t I = C.WriteOff; I < C.WriteBuf.size(); ++I)
-        Drops += C.WriteBuf[I] == '\n';
-      Counters.DroppedReplies += Drops;
-    }
-    ++(C.Tcp ? Counters.TcpCloses : Counters.UnixCloses);
-    Loop.remove(C.Fd);
-    ::close(C.Fd);
-    Conns.erase(C.Id); // invalidates C
-  }
+  void onDrain() override { DrainDeadline.armIn(DrainTimeoutMs); }
 
   unsigned MaxInflight;
   unsigned DrainTimeoutMs;
   AnalysisCache *Cache;
-  ServerCounters &Counters;
 
-  struct Listener {
-    int Fd;
-    bool Tcp;
-  };
-
-  EventLoop Loop;
-  std::vector<Listener> Listeners;
-  std::string UnixPath;
-  int SigPipe[2] = {-1, -1};
-
-  std::unordered_map<uint64_t, std::unique_ptr<Conn>> Conns;
   std::unordered_map<uint64_t, std::shared_ptr<Deadline>> LiveDeadlines;
-  uint64_t NextConnId = 0, NextSeq = 0;
-  uint64_t InFlight = 0; ///< admitted analyses not yet delivered
-  bool Draining = false;
+  uint64_t NextSeq = 0;
+  uint64_t InFlight = 0;  ///< admitted analyses not yet delivered
+  uint64_t Overloads = 0; ///< backpressure rejections
   Deadline DrainDeadline;
 
   // Declared last: destroyed first, so in-flight tasks may still post to
@@ -1069,9 +617,8 @@ int main(int Argc, char **Argv) {
                    CacheDir);
   }
 
-  static ServerCounters Counters;
   if (SocketPath || TcpSpec) {
-    Server S(Workers, MaxInflight, DrainTimeoutMs, Cache.get(), Counters);
+    Server S(Workers, MaxInflight, DrainTimeoutMs, Cache.get());
     if (!S.ok()) {
       std::fprintf(stderr, "error: cannot set up the event loop\n");
       return 2;
@@ -1082,5 +629,5 @@ int main(int Argc, char **Argv) {
       return 2;
     return S.run();
   }
-  return serveStdin(Workers, Cache.get(), Counters);
+  return serveStdin(Workers, Cache.get());
 }
