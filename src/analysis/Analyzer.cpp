@@ -50,7 +50,7 @@ public:
       const Deadline *Dl)
       : A(Hist), O(Opts), Mask(std::move(EventMask)), Oracle(CondOracle),
         DL(Dl) {
-    if (O.UseIncremental && O.Incremental) {
+    if (O.Incremental) {
       StageTimer Timer(IncrSec);
       Incr = O.Incremental;
       IncrCtx = incrementalContextDigest(A, O, Mask);
@@ -1017,7 +1017,7 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
   // store and count how many were already present in the persisted base —
   // the `txn_fingerprint_hits` signal of how much of the program survived
   // the edit unchanged.
-  if (O.UseIncremental && O.Incremental) {
+  if (O.Incremental) {
     StageTimer Timer(R.IncrementalSeconds);
     for (unsigned T = 0; T != A.numTxns(); ++T) {
       std::string D = txnContentDigest(A, T);

@@ -84,18 +84,15 @@ struct AnalyzerOptions {
   /// for a service answering many small requests). The caller guarantees
   /// no concurrent use; per-query name generations keep reuse sound.
   Z3Env *ReuseEnv = nullptr;
-  /// Master switch for the incremental layers below (`--no-incremental`).
-  /// Like NumThreads and UseOracle this is observability-only: the layers
-  /// replay verdicts the solver itself proved, so results are identical
-  /// either way, and the flag is absent from the verdict fingerprint. Their
-  /// reuse counters (like the oracle cache counters) vary with cache state
-  /// and are normalized by the differential tooling.
-  bool UseIncremental = true;
   /// Optional incremental store of per-unfolding outcome records (see
   /// analysis/Incremental.h). Lookups consult only the immutable base
   /// loaded at run start; fresh records accumulate run-locally, so hits
-  /// and misses are deterministic across thread counts. Ignored when
-  /// UseIncremental is false.
+  /// and misses are deterministic across thread counts. Like NumThreads
+  /// and UseOracle this is observability-only: the records replay verdicts
+  /// the solver itself proved, so results are identical with or without a
+  /// store, and it is absent from the verdict fingerprint. Its reuse
+  /// counters (like the oracle cache counters) vary with cache state and
+  /// are normalized by the differential tests.
   IncrementalStore *Incremental = nullptr;
   /// §9.1 filters.
   bool DisplayFilter = false;

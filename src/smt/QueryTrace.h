@@ -10,10 +10,9 @@
 /// unfolding id, retry/attempt counts, rlimit budget and spend, outcome and
 /// wall time. Records are appended in commit order (the deterministic
 /// enumeration order of the bounded check), so everything except the wall
-/// and spent columns is reproducible across runs and thread counts. The
-/// bench suite aggregates traces into per-stage query counts and retry
-/// rates (`bench_table1 --governance`); ad-hoc tooling can consume the
-/// JSONL rendering (`c4-analyze --trace <file>`, one JSON object per line).
+/// and spent columns is reproducible across runs and thread counts. Ad-hoc
+/// tooling can consume the JSONL rendering (`c4-analyze --trace <file>`,
+/// one JSON object per line).
 ///
 //===----------------------------------------------------------------------===//
 

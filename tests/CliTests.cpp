@@ -14,6 +14,9 @@
 ///   2  usage or compile error
 ///   3  lint warnings under --werror, no violations
 ///
+/// Also bench_table1's usage contract (C4_BENCH_TABLE1_PATH): an argument
+/// it does not know exits 2 before any analysis.
+///
 //===----------------------------------------------------------------------===//
 
 #include "gtest/gtest.h"
@@ -21,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <sys/wait.h>
 
@@ -103,6 +107,24 @@ TEST(CliExit, NoPassesVerdictUnchanged) {
       runAnalyzer("--no-passes " + examplePath("uniqueness_bug.c4l")), 1);
   EXPECT_EQ(
       runAnalyzer("--no-passes " + examplePath("highscore_fixed.c4l")), 0);
+}
+
+TEST(CliExit, BenchTable1UnknownArgumentIsTwoBeforeAnyWork) {
+  // A misspelled flag next to a real one, and a value flag bench_table1
+  // does not take, given without its value: neither may fall through to
+  // the lint pass or the 28-app table.
+  for (const char *Args : {"--lint --bogus-flag", "--quick --threads"}) {
+    std::string Out = testing::TempDir() + "bench_table1_usage.out";
+    std::string Cmd = std::string(C4_BENCH_TABLE1_PATH) + " " + Args +
+                      " > " + Out + " 2> /dev/null";
+    int Status = std::system(Cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(Status)) << Args;
+    EXPECT_EQ(WEXITSTATUS(Status), 2) << Args;
+    std::ifstream In(Out);
+    std::string Printed((std::istreambuf_iterator<char>(In)),
+                        std::istreambuf_iterator<char>());
+    EXPECT_EQ(Printed, "") << Args;
+  }
 }
 
 TEST(CliExit, SuppressedWarningsAreClean) {

@@ -15,43 +15,38 @@
 /// relayed reply, counted dropped; a half-written request is harmless; an
 /// unterminated line past the 32 MiB guard gets one error reply, then the
 /// connection closes), and graceful drain on SIGTERM — exit 0 with no
-/// worker process left behind.
+/// worker process left behind. A soak over the six quick Table 1 apps
+/// puts it together: fleet-wide single flight per app, 64 concurrent
+/// clients with a worker SIGKILLed while it holds their requests, every
+/// reply verdict-equal to a one-thread `c4-analyze` run.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ServingTestUtil.h"
+
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 namespace {
 
+using namespace c4test;
+
 std::string examplePath(const char *Name) {
   return std::string(C4_SOURCE_DIR) + "/examples/c4l/" + Name;
-}
-
-bool contains(const std::string &Haystack, const std::string &Needle) {
-  return Haystack.find(Needle) != std::string::npos;
-}
-
-long statField(const std::string &Reply, const std::string &Key) {
-  size_t Pos = Reply.find("\"" + Key + "\": ");
-  if (Pos == std::string::npos)
-    return -1;
-  return std::atol(Reply.c_str() + Pos + Key.size() + 4);
 }
 
 /// Every worker pid from a router stats reply, in index order (-1 for a
@@ -70,6 +65,14 @@ struct RouterProc {
   pid_t Pid = -1;
   int Port = 0;
   std::string ErrPath;
+
+  RouterProc() = default;
+  RouterProc(RouterProc &&O) noexcept
+      : Pid(std::exchange(O.Pid, -1)), Port(O.Port),
+        ErrPath(std::move(O.ErrPath)) {}
+  /// A test that stops at a failed assertion must not leave the fleet
+  /// running: it would hold the test's output pipe, and ctest with it.
+  ~RouterProc() { kill(); }
 
   std::string errLog() const {
     std::ifstream In(ErrPath);
@@ -114,6 +117,9 @@ long workerField(const std::string &Stats, unsigned Index,
 RouterProc spawnRouter(const char *Name, const std::string &Flags) {
   RouterProc R;
   R.ErrPath = testing::TempDir() + Name + ".err." + std::to_string(::getpid());
+  // A log an earlier process with this pid left behind would announce a
+  // dead router's port before the new router truncates it.
+  std::remove(R.ErrPath.c_str());
   // `exec` so the pid is c4-router itself, not the shell — drain tests
   // send it SIGTERM.
   std::string Cmd = std::string("exec ") + C4_ROUTER_PATH +
@@ -139,82 +145,6 @@ RouterProc spawnRouter(const char *Name, const std::string &Flags) {
   }
   ADD_FAILURE() << "router did not come up; stderr: " << R.errLog();
   return R;
-}
-
-int connectTcp(int Port) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return -1;
-  sockaddr_in Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(static_cast<uint16_t>(Port));
-  ::inet_pton(AF_INET, "127.0.0.1", &Addr.sin_addr);
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
-}
-
-void sendAll(int Fd, const std::string &Bytes) {
-  size_t Off = 0;
-  while (Off < Bytes.size()) {
-    ssize_t N =
-        ::send(Fd, Bytes.data() + Off, Bytes.size() - Off, MSG_NOSIGNAL);
-    if (N < 0 && errno == EINTR)
-      continue;
-    ASSERT_GT(N, 0) << "send: " << std::strerror(errno);
-    Off += static_cast<size_t>(N);
-  }
-}
-
-/// Reads one newline-terminated reply (newline stripped). Empty string on
-/// EOF or after \p TimeoutMs of silence.
-std::string recvLine(int Fd, int TimeoutMs = 60000) {
-  std::string Line;
-  for (;;) {
-    char C;
-    ssize_t N = ::recv(Fd, &C, 1, MSG_DONTWAIT);
-    if (N == 1) {
-      if (C == '\n')
-        return Line;
-      Line += C;
-      continue;
-    }
-    if (N == 0)
-      return "";
-    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
-      return "";
-    pollfd P{Fd, POLLIN, 0};
-    if (::poll(&P, 1, TimeoutMs) <= 0)
-      return "";
-  }
-}
-
-/// Closes \p Fd with SO_LINGER{on,0}: the kernel sends RST, the hardest
-/// form of client disappearance.
-void rstClose(int Fd) {
-  linger L{1, 0};
-  ::setsockopt(Fd, SOL_SOCKET, SO_LINGER, &L, sizeof(L));
-  ::close(Fd);
-}
-
-/// True when the peer has closed \p Fd (EOF or reset) within \p TimeoutMs
-/// and nothing more was sent before that.
-bool peerClosed(int Fd, int TimeoutMs = 10000) {
-  pollfd P{Fd, POLLIN, 0};
-  if (::poll(&P, 1, TimeoutMs) <= 0)
-    return false;
-  char C;
-  ssize_t N = ::recv(Fd, &C, 1, MSG_DONTWAIT);
-  return N == 0 || (N < 0 && errno == ECONNRESET);
-}
-
-/// One stats round-trip on an existing connection.
-std::string statsOn(int Fd) {
-  sendAll(Fd, "{\"id\": \"st\", \"op\": \"stats\"}\n");
-  return recvLine(Fd);
 }
 
 /// Polls the router until \p Key reaches \p Want (or ~10s pass). Returns
@@ -531,9 +461,8 @@ TEST(Router, SigtermDrainsToExitZeroAndReapsWorkers) {
 
   // No worker process may outlive the router.
   for (long Pid : Pids)
-    if (Pid > 0)
-      EXPECT_NE(::kill(static_cast<pid_t>(Pid), 0), 0)
-          << "worker " << Pid << " survived the drain";
+    EXPECT_TRUE(Pid <= 0 || ::kill(static_cast<pid_t>(Pid), 0) != 0)
+        << "worker " << Pid << " survived the drain";
 }
 
 TEST(Router, ShutdownOpDrainsLikeSigterm) {
@@ -561,6 +490,108 @@ TEST(Router, ShutdownOpDrainsLikeSigterm) {
   R.Pid = -1;
   EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
       << "status " << Status << "; stderr: " << R.errLog();
+}
+
+/// The sum of \p Key over the workers' own stats, asked on their backhaul
+/// sockets under the router's \p CacheDir (a worker that is down
+/// contributes nothing).
+long sumWorkerStat(const std::string &CacheDir, unsigned Workers,
+                   const char *Key) {
+  long Sum = 0;
+  for (unsigned I = 0; I != Workers; ++I) {
+    int Fd = connectUnix(CacheDir + "/worker-" + std::to_string(I) + ".sock");
+    if (Fd < 0)
+      continue;
+    if (trySendAll(Fd, "{\"id\": 0, \"op\": \"stats\"}\n"))
+      Sum += std::max(0L, statField(recvLine(Fd), Key));
+    ::close(Fd);
+  }
+  return Sum;
+}
+
+TEST(Router, QuickAppSoakSurvivesWorkerKill) {
+  std::vector<SoakApp> Apps = quickSoakApps("rt_soak");
+  std::string CacheDir = testing::TempDir() + "rt_soak_cache";
+  std::filesystem::remove_all(CacheDir); // every app's first request is cold
+  RouterProc R = spawnRouter("rt_soak", "--workers 2 --worker-threads 1 "
+                                        "--max-inflight 0 --cache-dir " +
+                                            CacheDir);
+  ASSERT_GT(R.Port, 0);
+  int Control = connectTcp(R.Port);
+  ASSERT_GE(Control, 0);
+  std::string Stats = waitForStat(Control, "workers_up", 2);
+  ASSERT_EQ(statField(Stats, "workers_up"), 2) << Stats;
+  // Each worker's cache evolves along its own shard, so replies are
+  // compared to the reference by verdict, not counter for counter.
+  auto SameVerdict = [&](size_t A, const std::string &Reply) {
+    return verdictSignature(Reply) == verdictSignature(Apps[A].Reference);
+  };
+
+  // Identical concurrent requests cost one backend run fleet-wide:
+  // rendezvous routing pins them to one worker, whose single flight
+  // collapses them.
+  stampede(R.Port, Apps, 8, SameVerdict, [&](size_t A) {
+    EXPECT_EQ(sumWorkerStat(CacheDir, 2, "backend_runs"), long(A + 1))
+        << Apps[A].Name;
+  });
+
+  // 64 clients x 2 requests. Between the rounds, half the replies in, the
+  // worker that owns the most apps is stopped; once second-round requests
+  // are held by it, it is SIGKILLed. The router must re-route what the
+  // dead worker held and restart it: every reply still arrives, ok and
+  // verdict-equal.
+  Stats = statsOn(Control);
+  std::vector<long> Before = workerPids(Stats);
+  ASSERT_EQ(Before.size(), 2u) << Stats;
+  unsigned Victim = workerField(Stats, 1, "routed") >
+                            workerField(Stats, 0, "routed")
+                        ? 1
+                        : 0;
+  pid_t VictimPid = static_cast<pid_t>(Before[Victim]);
+  ASSERT_GT(VictimPid, 0) << Stats;
+  long HeldAtKill = -1;
+  std::thread Killer;
+  auto KillMidSoak = [&] {
+    ASSERT_EQ(::kill(VictimPid, SIGSTOP), 0);
+    Killer = std::thread([&] {
+      int Fd = connectTcp(R.Port);
+      for (int I = 0; I < 500 && HeldAtKill <= 0; ++I) {
+        if (Fd < 0 || !trySendAll(Fd, "{\"id\": 0, \"op\": \"stats\"}\n"))
+          break;
+        HeldAtKill = workerField(recvLine(Fd), Victim, "inflight");
+        if (HeldAtKill <= 0)
+          ::usleep(10 * 1000);
+      }
+      ::kill(VictimPid, SIGKILL);
+      if (Fd >= 0)
+        ::close(Fd);
+    });
+  };
+  EXPECT_EQ(soakClients(R.Port, Apps, 64, 2, SameVerdict, KillMidSoak), 0u);
+  if (Killer.joinable())
+    Killer.join();
+  EXPECT_GT(HeldAtKill, 0) << "the stopped worker was never sent a request";
+
+  Stats = waitForStat(Control, "worker_restarts", 1);
+  EXPECT_EQ(statField(Stats, "replies_dropped"), 0) << Stats;
+  EXPECT_GE(statField(Stats, "worker_restarts"), 1) << Stats;
+  EXPECT_GE(statField(Stats, "rerouted_requests"), 1) << Stats;
+  // Two workers that each ran every app would spend 2 x 6 backend runs.
+  long BackendRuns = sumWorkerStat(CacheDir, 2, "backend_runs");
+  EXPECT_GT(BackendRuns, 0);
+  EXPECT_LT(BackendRuns, long(2 * Apps.size()));
+
+  // SIGTERM drains to exit 0, and no worker outlives the router.
+  std::vector<long> Pids = workerPids(waitForStat(Control, "workers_up", 2));
+  ::close(Control);
+  ::kill(R.Pid, SIGTERM);
+  int Status = waitRouterExit(R);
+  ASSERT_NE(Status, -1) << "router did not exit; stderr: " << R.errLog();
+  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
+      << "status " << Status << "; stderr: " << R.errLog();
+  for (long Pid : Pids)
+    EXPECT_TRUE(Pid <= 0 || ::kill(static_cast<pid_t>(Pid), 0) != 0)
+        << "worker " << Pid << " survived the drain";
 }
 
 } // namespace

@@ -47,9 +47,6 @@
 ///                          content digests, so after an edit only the
 ///                          queries touching the edited transaction are
 ///                          re-solved (verdicts are identical either way)
-///     --no-incremental     keep the verdict layer of --incremental-cache
-///                          but disable the incremental record layer (A/B
-///                          baseline)
 ///     --seed <n>           RNG seed for --simulate (default 0xC4C4)
 ///     --simulate <n>       additionally execute n randomized workloads on
 ///                          the causal-store simulator and report how often
@@ -97,7 +94,7 @@ static int usage(const char *Prog) {
                "[--threads N] [--rlimit N] [--rlimit-cap N] [--retries N] "
                "[--smt-timeout-ms N] [--deadline-ms N] [--dfs-budget N] "
                "[--trace FILE] [--cache-dir DIR] [--incremental-cache DIR] "
-               "[--no-incremental] [--seed N] [--simulate N] "
+               "[--seed N] [--simulate N] "
                "[--stats-json] [--dot] [--no-passes] [--lint] [--lint-json] "
                "[--werror] <file.c4l>\n",
                Prog);
@@ -183,8 +180,6 @@ int main(int Argc, char **Argv) {
         return usage(Argv[0]);
       CacheDir = Argv[++I];
       IncrementalCache = true;
-    } else if (!std::strcmp(Arg, "--no-incremental")) {
-      Options.UseIncremental = false;
     } else if (!std::strcmp(Arg, "--seed")) {
       if (I + 1 == Argc || !parseCount(Arg, Argv[++I], Seed))
         return usage(Argv[0]);

@@ -55,9 +55,11 @@
 /// "retries", "smt_timeout_ms", "deadline_ms", "dfs_budget", and booleans
 /// "no_passes", "no_filter", "no_cache", "no_commutativity",
 /// "no_absorption", "no_constraints", "no_control_flow", "no_asymmetric",
-/// "no_unique", "no_incremental". Unlike the CLI, "threads" defaults to 1:
-/// request-level parallelism comes from --workers, and multiplying the two
-/// oversubscribes.
+/// "no_unique". Unlike the CLI, "threads" defaults to 1: request-level
+/// parallelism comes from --workers, and multiplying the two
+/// oversubscribes. A "threads" above the machine's hardware concurrency is
+/// an error reply: a bounded round starts up to that many threads, each
+/// building its own Z3 context, and the value comes from the client.
 ///
 /// Control requests: {"op": "ping"} (answered on the event-loop thread even
 /// under full analysis load, so tools/c4-router uses it as its liveness
@@ -98,6 +100,7 @@
 #include "support/LineServer.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -290,7 +293,7 @@ std::string handleRequest(const std::string &Line, AnalysisCache *Cache,
   Options.NumThreads = 1;
   bool NoFilter = false, NoPasses = false, NoCache = false;
   bool NoCom = false, NoAbs = false, NoCons = false, NoCf = false,
-       NoAsym = false, NoUnique = false, NoIncremental = false;
+       NoAsym = false, NoUnique = false;
   unsigned Rlimit = 0, RlimitCap = 0;
   bool HaveRlimit = Req->get("rlimit") != nullptr;
   bool HaveRlimitCap = Req->get("rlimit_cap") != nullptr;
@@ -310,11 +313,16 @@ std::string handleRequest(const std::string &Line, AnalysisCache *Cache,
       !readFlag(*Req, "no_constraints", NoCons, Err) ||
       !readFlag(*Req, "no_control_flow", NoCf, Err) ||
       !readFlag(*Req, "no_asymmetric", NoAsym, Err) ||
-      !readFlag(*Req, "no_unique", NoUnique, Err) ||
-      !readFlag(*Req, "no_incremental", NoIncremental, Err))
+      !readFlag(*Req, "no_unique", NoUnique, Err))
     return errorReply(Id, Err);
   if (Options.MaxK < 1)
     return errorReply(Id, "max_k must be at least 1");
+  static const unsigned MaxThreads =
+      std::max(1u, std::thread::hardware_concurrency());
+  if (Options.NumThreads > MaxThreads)
+    return errorReply(Id, "threads must be at most " +
+                              std::to_string(MaxThreads) +
+                              " (the hardware concurrency)");
   if (HaveRlimit)
     Options.Budget.Rlimit = Rlimit;
   if (HaveRlimitCap)
@@ -330,7 +338,6 @@ std::string handleRequest(const std::string &Line, AnalysisCache *Cache,
   Options.Features.ControlFlow = !NoCf;
   Options.Features.AsymmetricAntiDeps = !NoAsym;
   Options.Features.UniqueValues = !NoUnique;
-  Options.UseIncremental = !NoIncremental;
 
   // Per-request deadline: DeadlineMs still describes the budget (it is part
   // of the verdict fingerprint); the externally owned object lets the
