@@ -18,7 +18,6 @@
 #include <condition_variable>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -105,8 +104,8 @@ private:
     std::vector<std::vector<unsigned>> Cycles;
   };
   /// \p CS and \p Index are set on parallel rounds only.
-  UnfoldingOutcome solveOne(const Unfolding &U, Z3Env *Env,
-                            CommitState *CS = nullptr, size_t Index = 0);
+  UnfoldingOutcome solveOne(const Unfolding &U, CommitState *CS = nullptr,
+                            size_t Index = 0);
   /// Parallel rounds: true when \p U is subsumed by the committed
   /// violations, after waiting for the commit of every earlier unfolding
   /// whose published cycle lies inside \p U's transactions.
@@ -187,26 +186,19 @@ private:
   IncrementalStore *Incr = nullptr;
   /// The run-level context digest scoping every record key.
   std::string IncrCtx;
-
-  /// The Z3 environment reused by every main-thread SMT query of this run
-  /// (sequential bounded checks and the generalization chunks). Contexts
-  /// cost ~15ms to create+destroy — more than most solves — so queries
-  /// reset and reuse one env instead. Lazily built: runs refuted by the
-  /// fast stage never pay for a context.
-  Z3Env &seqEnv() {
-    if (O.ReuseEnv)
-      return *O.ReuseEnv;
-    if (!SeqEnv)
-      SeqEnv = std::make_unique<Z3Env>();
-    return *SeqEnv;
-  }
-  std::unique_ptr<Z3Env> SeqEnv;
 };
 
-/// Per-thread Z3 environment for parallel workers, lazily built on first
-/// use and dropped when the pool thread exits (pools live for one bounded
-/// round). Z3 contexts must not be shared between threads.
-thread_local std::unique_ptr<Z3Env> WorkerEnv;
+/// The process's pool for parallel bounded rounds, shared by every
+/// analysis on every calling thread and never destroyed: its threads keep
+/// their Z3 envs (Z3Env::forThisThread) for the life of the process.
+/// Threads start lazily, up to the largest count a run has asked for,
+/// capped at the hardware concurrency.
+ThreadPool &solverPool(unsigned Threads) {
+  static ThreadPool *Pool = new ThreadPool(0);
+  Pool->growTo(
+      std::min(Threads, std::max(1u, std::thread::hardware_concurrency())));
+  return *Pool;
+}
 
 /// \p Txns sorted, without duplicates: the transaction-set form that
 /// subsumed() and the violation list compare.
@@ -401,8 +393,8 @@ bool Run::heldBack(const Unfolding &U, size_t Index, CommitState &CS) const {
   return subsumed(Set, *CS.Committed);
 }
 
-Run::UnfoldingOutcome Run::solveOne(const Unfolding &U, Z3Env *Env,
-                                    CommitState *CS, size_t Index) {
+Run::UnfoldingOutcome Run::solveOne(const Unfolding &U, CommitState *CS,
+                                    size_t Index) {
   UnfoldingOutcome Out;
   if (DL->expired()) {
     // Cooperative cancellation: report the unit as cancelled without doing
@@ -433,7 +425,7 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U, Z3Env *Env,
   Out.Flagged = true;
   SolverPolicy P{O.Budget, DL};
   auto Solve = [&](SolveTelemetry *Tel) {
-    return solveUnfolding(U, G, Cands, O.Features, P, Oracle, Env, Tel);
+    return solveUnfolding(U, G, Cands, O.Features, P, Oracle, Tel);
   };
   if (!query(Out.Q, U, Cands, Solve, CS, Index)) {
     Out.PrunedEarly = true;
@@ -625,7 +617,7 @@ bool Run::checkBounded(unsigned K, AnalysisResult &R,
         ++R.UnfoldingsSubsumed;
         continue;
       }
-      UnfoldingOutcome Out = solveOne(U, &seqEnv());
+      UnfoldingOutcome Out = solveOne(U);
       SSGSec += Out.SSGSec;
       addQueryTimes(Out.Q);
       if (Out.Cancelled) {
@@ -638,55 +630,59 @@ bool Run::checkBounded(unsigned K, AnalysisResult &R,
     return true;
   }
 
-  // Parallel: workers solve unfoldings speculatively; the main thread
-  // commits results strictly in enumeration order, so violation sets and
-  // every statistic are identical to the sequential run. Workers prune
+  // Parallel: pool threads solve unfoldings speculatively; the calling
+  // thread commits results strictly in enumeration order, so violation sets
+  // and every statistic are identical to the sequential run. Workers prune
   // against the committed violations, and hold a solve back while an
   // earlier unfolding's cycle that would subsume it awaits its commit, to
-  // bound the speculative waste. The pool is bound to the deadline: once
-  // it expires, workers short-circuit at task entry and the commit loop
-  // defers every unit from the first cancelled/expired index on — outcomes
-  // that raced past the expiry are discarded rather than committed, so a
-  // deadline run commits a prefix of the enumeration order (where the cut
-  // lands is timing-dependent; without a deadline, runs stay
-  // bit-identical).
+  // bound the speculative waste. At most Threads unfoldings are in flight:
+  // the commit loop submits unfolding I + Threads once it has taken outcome
+  // I, so a round's tasks start in enumeration order (heldBack's wait
+  // relies on that) and a round never floods the pool that other analyses
+  // share. Each task checks the run's deadline at entry; once it expires
+  // the commit loop submits nothing more and defers every unit from the
+  // first cancelled/expired index on — outcomes that raced past the expiry
+  // are discarded rather than committed, so a deadline run commits a prefix
+  // of the enumeration order (where the cut lands is timing-dependent;
+  // without a deadline, runs stay bit-identical).
   CommitState CS;
   CS.Committed = &R.Violations;
   CS.Cycles.resize(Unfoldings.size());
-  ThreadPool Pool(Threads, DL);
-  std::vector<std::future<UnfoldingOutcome>> Futures;
-  Futures.reserve(Unfoldings.size());
-  for (size_t I = 0; I != Unfoldings.size(); ++I)
-    Futures.push_back(Pool.submit([this, &Unfoldings, I, &CS,
-                                   &Pool]() -> UnfoldingOutcome {
-      if (Pool.cancelled()) {
-        UnfoldingOutcome Out;
-        Out.Cancelled = true;
-        return Out;
-      }
-      if (!WorkerEnv)
-        WorkerEnv = std::make_unique<Z3Env>();
-      return solveOne(Unfoldings[I], WorkerEnv.get(), &CS, I);
-    }));
+  ThreadPool &Pool = solverPool(Threads);
+  std::vector<std::future<UnfoldingOutcome>> Futures(Unfoldings.size());
+  size_t Submitted = 0;
+  auto SubmitUpTo = [&](size_t End) {
+    for (End = std::min(End, Unfoldings.size()); Submitted < End; ++Submitted)
+      Futures[Submitted] =
+          Pool.submit([this, &Unfoldings, &CS, I = Submitted] {
+            return solveOne(Unfoldings[I], &CS, I);
+          });
+  };
+  SubmitUpTo(Threads);
   bool Winding = false;
-  unsigned Deferred = 0;
-  for (size_t I = 0; I != Unfoldings.size(); ++I) {
+  size_t FirstDeferred = 0;
+  for (size_t I = 0; I != Submitted; ++I) {
     UnfoldingOutcome Out = Futures[I].get();
     SSGSec += Out.SSGSec;
     addQueryTimes(Out.Q);
-    std::lock_guard<std::mutex> Lock(CS.Mu);
-    if (Winding || Out.Cancelled || DL->expired()) {
-      Winding = true;
-      ++Deferred; // drain the remaining futures, discarding outcomes
-    } else {
-      commitOutcome(Unfoldings[I], std::move(Out), R, K,
-                    static_cast<long>(I));
+    {
+      std::lock_guard<std::mutex> Lock(CS.Mu);
+      if (!Winding && (Out.Cancelled || DL->expired())) {
+        Winding = true;
+        FirstDeferred = I; // drain what is in flight, discarding outcomes
+      }
+      if (!Winding)
+        commitOutcome(Unfoldings[I], std::move(Out), R, K,
+                      static_cast<long>(I));
+      ++CS.Consumed;
     }
-    ++CS.Consumed;
     CS.Advanced.notify_all();
+    if (!Winding)
+      SubmitUpTo(I + 1 + Threads);
   }
   if (Winding) {
-    R.UnfoldingsDeferred += Deferred;
+    R.UnfoldingsDeferred +=
+        static_cast<unsigned>(Unfoldings.size() - FirstDeferred);
     R.DeadlineExpired = true;
     return false;
   }
@@ -909,7 +905,7 @@ bool Run::generalizes(unsigned K, AnalysisResult &R,
       Q.Bounded = false;
       query(Q, U, Chunk, [&](SolveTelemetry *Tel) {
         if (!LS)
-          LS.emplace(U, G, O.Features, P, Oracle, &seqEnv());
+          LS.emplace(U, G, O.Features, P, Oracle);
         return LS->solve(Chunk, Tel);
       });
       addQueryTimes(Q);

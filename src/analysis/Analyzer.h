@@ -72,18 +72,15 @@ struct AnalyzerOptions {
   QueryTrace *Trace = nullptr;
   /// Worker threads for the bounded check (0 = hardware concurrency).
   /// Parallel runs commit results in enumeration order, so verdicts,
-  /// violation sets and statistics are identical to a single-threaded run.
+  /// violation sets and statistics are identical to a single-threaded run,
+  /// apart from the solver telemetry that varies with each thread's Z3
+  /// history (see DESIGN.md, "Long-lived solver environments").
   unsigned NumThreads = 0;
   /// Shares one memoization oracle for rewrite-spec conditions and their
   /// satisfiability verdicts across all SSG instantiations and SMT
   /// encodings of the run. Identical verdicts either way; disabling it is
   /// for the oracle-equivalence tests and A/B measurements.
   bool UseOracle = true;
-  /// Optional Z3 environment to reuse for the sequential stages instead of
-  /// constructing a fresh one per run (a context costs ~15 ms, noticeable
-  /// for a service answering many small requests). The caller guarantees
-  /// no concurrent use; per-query name generations keep reuse sound.
-  Z3Env *ReuseEnv = nullptr;
   /// Optional incremental store of per-unfolding outcome records (see
   /// analysis/Incremental.h). Lookups consult only the immutable base
   /// loaded at run start; fresh records accumulate run-locally, so hits

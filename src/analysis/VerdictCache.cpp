@@ -86,8 +86,8 @@ std::string c4::fingerprintAnalysis(const AbstractHistory &A,
     for (unsigned Y = 0; Y != A.numTxns(); ++Y)
       F.addBool(A.maySo(X, Y));
 
-  // Verdict-affecting options. NumThreads, UseOracle, ReuseEnv, Trace and
-  // the incremental store are observability-only and deliberately absent
+  // Verdict-affecting options. NumThreads, UseOracle, Trace and the
+  // incremental store are observability-only and deliberately absent
   // (the incremental records replay solver-proved verdicts; their reuse
   // counters vary with cache state, like the oracle cache counters, and
   // the differential tests normalize them).

@@ -885,7 +885,7 @@ UnfoldingResult c4::solveUnfolding(const Unfolding &U, const SSG &G,
                                    const std::vector<CandidateCycle> &Cands,
                                    const AnalysisFeatures &F,
                                    const SolverPolicy &P,
-                                   CommutativityOracle *Oracle, Z3Env *Reuse,
+                                   CommutativityOracle *Oracle,
                                    SolveTelemetry *Telemetry) {
   SolveTelemetry Local;
   SolveTelemetry &T = Telemetry ? *Telemetry : Local;
@@ -894,21 +894,14 @@ UnfoldingResult c4::solveUnfolding(const Unfolding &U, const SSG &G,
     return {};
 
   try {
-    std::optional<Z3Env> Own;
-    Z3Env *Env;
-    if (Reuse) {
-      Reuse->reset(P.Budget.rlimitForAttempt(0), P.Budget.WallMs);
-      Env = Reuse;
-    } else {
-      Own.emplace(P.Budget);
-      Env = &*Own;
-    }
-    UnfoldingEncoder Enc(U, G, F, *Env, Oracle);
+    Z3Env &Env = Z3Env::forThisThread();
+    Env.reset(P.Budget.rlimitForAttempt(0), P.Budget.WallMs);
+    UnfoldingEncoder Enc(U, G, F, Env, Oracle);
     Enc.encode(Cands);
     // Canonicalize the witness: the bounded stage commits the realized
-    // cycle as a violation, so it must not depend on the reused
-    // context's query history (see minimizeRealizedCycle).
-    return runAttempts(Enc, *Env, P, T, /*CanonicalWitness=*/true);
+    // cycle as a violation, so it must not depend on the env's query
+    // history (see minimizeRealizedCycle).
+    return runAttempts(Enc, Env, P, T, /*CanonicalWitness=*/true);
   } catch (const z3::exception &) {
     // Confine Z3 exceptions: treat failures as inconclusive.
     T.Error = true;
@@ -920,27 +913,21 @@ UnfoldingResult c4::solveUnfolding(const Unfolding &U, const SSG &G,
 
 struct LayoutSolver::Impl {
   SolverPolicy P;
-  std::optional<Z3Env> Own;
   Z3Env *Env = nullptr;
   std::optional<UnfoldingEncoder> Enc;
   bool BaseEncoded = false;
-  bool Dead = false; ///< a z3::exception poisoned the context
+  bool Dead = false; ///< a z3::exception poisoned the solver
   unsigned Chunks = 0;
 };
 
 LayoutSolver::LayoutSolver(const Unfolding &U, const SSG &G,
                            const AnalysisFeatures &F, const SolverPolicy &P,
-                           CommutativityOracle *Oracle, Z3Env *Reuse)
+                           CommutativityOracle *Oracle)
     : I(std::make_unique<Impl>()) {
   I->P = P;
   try {
-    if (Reuse) {
-      Reuse->reset(P.Budget.rlimitForAttempt(0), P.Budget.WallMs);
-      I->Env = Reuse;
-    } else {
-      I->Own.emplace(P.Budget);
-      I->Env = &*I->Own;
-    }
+    I->Env = &Z3Env::forThisThread();
+    I->Env->reset(P.Budget.rlimitForAttempt(0), P.Budget.WallMs);
     I->Enc.emplace(U, G, F, *I->Env, Oracle);
   } catch (const z3::exception &) {
     I->Dead = true;
@@ -980,7 +967,8 @@ UnfoldingResult LayoutSolver::solve(const std::vector<CandidateCycle> &Cands,
     S.pop();
     return R;
   } catch (const z3::exception &) {
-    // The scope stack is in an unknown state; retire the context.
+    // The scope stack is in an unknown state: answer nothing more here.
+    // The thread's next query starts on a fresh solver (Z3Env::reset).
     I->Dead = true;
     T.Error = true;
     return Unk;

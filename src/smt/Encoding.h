@@ -126,26 +126,21 @@ struct SolveTelemetry {
 /// Builds and solves ϕ_cyclic for \p U. \p Candidates are the SC1-feasible
 /// simple cycles of the unfolding's instantiated SSG \p G (built with the
 /// same features \p F). \p P governs the solver resources: the primary
-/// budget is a deterministic rlimit (escalated geometrically on unknown up
-/// to the cap), the wall clock is a backstop only. \p Oracle, when given,
-/// memoizes the rewrite-spec conditions used by the encoding (shared with
-/// the SSG stage; thread-safe). \p Reuse, when given, supplies the Z3
-/// environment: it is reset, encoded into and solved on, amortizing Z3
-/// context construction/destruction (~15ms each on small queries) across
-/// many calls. The query is encoded once; an unknown is retried by
-/// re-arming the *same* solver with an escalated rlimit
-/// (`Z3Env::rearm`) and re-checking — the re-encode per attempt is gone,
-/// and each such re-check counts into `SolveTelemetry::CtxReuses`. An env
-/// must not be shared between threads; each worker keeps its own.
-/// \p Telemetry, when given, receives the attempt/spend accounting. A
-/// CycleFound result carries its canonical witness model (see
-/// UnfoldingResult::Witness).
+/// budget is an rlimit (escalated geometrically on unknown up to the cap),
+/// the wall clock is a backstop only. \p Oracle, when given, memoizes the
+/// rewrite-spec conditions used by the encoding (shared with the SSG
+/// stage; thread-safe). The query is reset into, encoded on and solved on
+/// the calling thread's env (Z3Env::forThisThread). It is encoded once; an
+/// unknown is retried by re-arming the *same* solver with an escalated
+/// rlimit (`Z3Env::rearm`) and re-checking, and each such re-check counts
+/// into `SolveTelemetry::CtxReuses`. \p Telemetry, when given, receives the
+/// attempt/spend accounting. A CycleFound result carries its canonical
+/// witness model (see UnfoldingResult::Witness).
 UnfoldingResult solveUnfolding(const Unfolding &U, const SSG &G,
                                const std::vector<CandidateCycle> &Candidates,
                                const AnalysisFeatures &F,
                                const SolverPolicy &P = {},
                                CommutativityOracle *Oracle = nullptr,
-                               Z3Env *Reuse = nullptr,
                                SolveTelemetry *Telemetry = nullptr);
 
 /// A shared solver context for the many cycle/segment chunks of one
@@ -155,15 +150,13 @@ UnfoldingResult solveUnfolding(const Unfolding &U, const SSG &G,
 /// exactly once; each \ref solve call pushes a scope, encodes only the
 /// chunk's cycle selectors, solves (with the same escalating-rlimit retry
 /// governance as \ref solveUnfolding), and pops. Every chunk after the
-/// first counts a context reuse. Not thread-safe; one instance per worker
-/// per unfolding.
+/// first counts a context reuse. It holds the constructing thread's env
+/// (reset once here), so that thread solves nothing else while it lives.
 class LayoutSolver {
 public:
-  /// \p Reuse, when given, supplies the env (reset once here); otherwise a
-  /// private env is created. All referees must outlive the solver.
+  /// All referees must outlive the solver.
   LayoutSolver(const Unfolding &U, const SSG &G, const AnalysisFeatures &F,
-               const SolverPolicy &P, CommutativityOracle *Oracle = nullptr,
-               Z3Env *Reuse = nullptr);
+               const SolverPolicy &P, CommutativityOracle *Oracle = nullptr);
   ~LayoutSolver();
   LayoutSolver(const LayoutSolver &) = delete;
   LayoutSolver &operator=(const LayoutSolver &) = delete;

@@ -23,13 +23,17 @@ namespace c4 {
 
 /// Resource budget for one solver query (paper §7 precise stage).
 ///
-/// The primary budget is Z3's \e rlimit — an abstract deduction count that
-/// is a pure function of the query, independent of machine speed or load —
-/// so budget-exhaustion verdicts (`unknown`) are bit-identical across
-/// machines and runs. A wall-clock ceiling remains as a backstop only: with
-/// a sane rlimit it never fires first, but it bounds the damage if a query
-/// hits a pathological high-cost-per-unit search region. A query that comes
-/// back unknown is retried with the rlimit escalated geometrically
+/// The primary budget is Z3's \e rlimit — an abstract deduction count, so
+/// an `unknown` does not depend on machine speed or load. The count a query
+/// spends does depend on the context it runs in: a solving thread's env
+/// carries the ASTs and heuristics state of the queries it answered before
+/// (see Z3Env), so `rlimit_spent` is telemetry. A verdict could only follow
+/// that history for a query whose spend sits at its budget; the default
+/// budget leaves every query of the examples and Table 1 apps far below
+/// it. A wall-clock ceiling remains as a backstop only: with a sane rlimit
+/// it never fires first, but it bounds the damage if a query hits a
+/// pathological high-cost-per-unit search region. A query that comes back
+/// unknown is retried with the rlimit escalated geometrically
 /// (`Escalation`) up to `RlimitCap`, after which it is reported as
 /// inconclusive.
 struct SolverBudget {
@@ -67,36 +71,41 @@ struct SolverBudget {
   }
 };
 
-/// Owns a Z3 context and solver configured with a resource budget.
+/// Owns a Z3 context and solver. Each solving thread keeps one env for the
+/// life of the process (forThisThread()): building a context costs more
+/// than a typical small query, and freeing one that has answered many
+/// queries costs tens of milliseconds. Queries on one env run one at a
+/// time and each starts with reset().
 class Z3Env {
 public:
-  explicit Z3Env(const SolverBudget &B = SolverBudget()) : Solver(Ctx) {
-    configure(B.Rlimit, B.WallMs);
-  }
+  Z3Env() : Solver(Ctx) {}
+
+  /// The calling thread's env, built at its first call. An env is never
+  /// freed: when its thread exits it is parked for the next thread that
+  /// solves, so a process holds at most one env per thread that was ever
+  /// solving at the same time, and its exit frees none.
+  static Z3Env &forThisThread();
 
   z3::context &ctx() { return Ctx; }
   z3::solver &solver() { return Solver; }
 
   /// Discards all assertions by installing a fresh solver, keeping the
-  /// context alive. Context construction and destruction dominate the cost
-  /// of small queries, so callers issuing many queries reuse one env and
-  /// reset between them. Each reset starts a new query generation: constant
-  /// names are decorated with the generation number so a reused context
-  /// never re-interns a name from an earlier query. Reusing an interned
-  /// symbol would hand the new query an AST with a stale (low) id, and Z3's
-  /// term orderings are id-sensitive — models (though not sat/unsat
-  /// verdicts) could then depend on which queries the env solved earlier.
-  /// With fresh names every query builds its ASTs in its own creation
-  /// order, exactly as on a brand-new context, keeping results independent
-  /// of env history.
+  /// context alive, and installs the budget. Names are not made unique per
+  /// query: Z3 interns every symbol in a process-wide table that never
+  /// shrinks, so a long-lived env that minted fresh names per query would
+  /// grow without bound. A query may therefore meet ASTs and heuristics
+  /// state left by earlier queries on the same thread. Sat/unsat answers
+  /// do not depend on that, but the model Z3 returns, the rlimit it spends
+  /// and so the counter-example constants do; the realized cycle, and with
+  /// it every violation set, is pinned by minimizeRealizedCycle instead
+  /// (see DESIGN.md, "Long-lived solver environments").
   void reset(uint64_t Rlimit, unsigned WallMs) {
-    ++Generation;
     Solver = z3::solver(Ctx);
     configure(Rlimit, WallMs);
   }
 
   /// Re-installs a (typically escalated) budget on the *current* solver
-  /// without discarding its assertions or starting a new name generation.
+  /// without discarding its assertions.
   /// Used by the retry loop: an unknown verdict is re-checked with a larger
   /// rlimit against the already-encoded query, so the encode work is paid
   /// once per query instead of once per attempt.
@@ -119,10 +128,10 @@ public:
   }
 
   z3::expr intConst(const std::string &Name) {
-    return Ctx.int_const(decorate(Name).c_str());
+    return Ctx.int_const(Name.c_str());
   }
   z3::expr boolConst(const std::string &Name) {
-    return Ctx.bool_const(decorate(Name).c_str());
+    return Ctx.bool_const(Name.c_str());
   }
   z3::expr intVal(int64_t V) {
     return Ctx.int_val(static_cast<int64_t>(V));
@@ -161,13 +170,8 @@ private:
     Solver.set(P);
   }
 
-  std::string decorate(const std::string &Name) const {
-    return "q" + std::to_string(Generation) + "." + Name;
-  }
-
   z3::context Ctx;
   z3::solver Solver;
-  unsigned Generation = 0;
 };
 
 } // namespace c4

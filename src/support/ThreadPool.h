@@ -1,33 +1,26 @@
-//===- support/ThreadPool.h - Minimal fixed-size thread pool ----*- C++ -*-===//
+//===- support/ThreadPool.h - Minimal growable thread pool ------*- C++ -*-===//
 //
 // Part of the C4 serializability analyzer. See README.md for details.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size worker pool used by the parallel bounded check: tasks
-/// are submitted as callables and their results retrieved through
-/// std::future, which lets the analyzer commit outcomes in submission order
-/// (the ordered-commit scheme that keeps parallel runs bit-identical to
-/// sequential ones). Tasks run FIFO; the destructor drains the queue and
-/// joins all workers.
+/// A small worker pool: tasks are submitted as callables and their results
+/// retrieved through std::future, which lets the analyzer commit outcomes
+/// in submission order (the ordered-commit scheme that keeps parallel runs
+/// bit-identical to sequential ones). Tasks run FIFO. The pool starts with
+/// the threads it is constructed with and grows on request (growTo), never
+/// shrinking; the destructor drains the queue and joins all workers.
 ///
-/// Cancellation is cooperative. A pool can be bound to a Deadline (or
-/// cancelled manually); every queued task still runs — a packaged task must
-/// execute for its future to become ready — but deadline-aware tasks check
-/// `cancelled()` at entry and return a sentinel result in microseconds, so
-/// draining a long queue after expiry costs almost nothing. `cancelled()`
-/// latches via the Deadline, making post-expiry polls one relaxed atomic
-/// load (no clock reads on the worker hot path).
+/// There is no pool-level cancellation: a task that belongs to a run with
+/// a deadline checks that deadline at entry itself, so one pool can serve
+/// runs with different deadlines.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef C4_SUPPORT_THREADPOOL_H
 #define C4_SUPPORT_THREADPOOL_H
 
-#include "support/Deadline.h"
-
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -42,16 +35,7 @@ namespace c4 {
 
 class ThreadPool {
 public:
-  /// \p Cancel, when given, is the run's deadline: once it expires,
-  /// `cancelled()` turns true for every worker and submitter.
-  explicit ThreadPool(unsigned NumThreads,
-                      const Deadline *CancelDeadline = nullptr)
-      : Cancel(CancelDeadline) {
-    if (NumThreads == 0)
-      NumThreads = 1;
-    for (unsigned I = 0; I != NumThreads; ++I)
-      Workers.emplace_back([this] { workerLoop(); });
-  }
+  explicit ThreadPool(unsigned NumThreads) { growTo(NumThreads); }
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
@@ -66,18 +50,13 @@ public:
       W.join();
   }
 
-  unsigned numThreads() const { return static_cast<unsigned>(Workers.size()); }
-
-  /// True once the bound deadline expired or `cancel()` was called. Tasks
-  /// poll this at entry and wind down; results produced after this point
-  /// are still well-formed (the ordered commit loop decides what to keep).
-  bool cancelled() const {
-    return ManualCancel.load(std::memory_order_relaxed) ||
-           (Cancel && Cancel->expired());
+  /// Starts workers until the pool has \p NumThreads. Safe to call from
+  /// multiple threads.
+  void growTo(unsigned NumThreads) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    while (Workers.size() < NumThreads)
+      Workers.emplace_back([this] { workerLoop(); });
   }
-
-  /// Manual cooperative cancellation, independent of any deadline.
-  void cancel() { ManualCancel.store(true, std::memory_order_relaxed); }
 
   /// Enqueues \p Fn and returns a future for its result. Safe to call from
   /// multiple threads. Tasks must not block on futures of tasks submitted
@@ -110,8 +89,6 @@ private:
         Task = std::move(Queue.front());
         Queue.pop_front();
       }
-      // Run even when cancelled: the task's future must become ready, and
-      // cancellation-aware tasks exit in microseconds once `cancelled()`.
       Task();
     }
   }
@@ -121,8 +98,6 @@ private:
   std::mutex Mu;
   std::condition_variable Cv;
   bool Stopping = false;
-  const Deadline *Cancel;
-  std::atomic<bool> ManualCancel{false};
 };
 
 } // namespace c4

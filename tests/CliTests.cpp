@@ -19,6 +19,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TempFiles.h"
+
 #include "gtest/gtest.h"
 
 #include <cstdio>
@@ -44,9 +46,11 @@ int runAnalyzer(const std::string &Args) {
   return WEXITSTATUS(Status);
 }
 
-/// Writes \p Source to a fresh file in the test temp dir.
-std::string writeTemp(const char *Name, const std::string &Source) {
-  std::string Path = testing::TempDir() + Name;
+/// Writes \p Source to a fresh file in the test temp dir, removed when
+/// \p Temp goes out of scope.
+std::string writeTemp(c4test::TempFiles &Temp, const char *Name,
+                      const std::string &Source) {
+  std::string Path = Temp.add(testing::TempDir() + Name);
   std::ofstream Out(Path);
   Out << Source;
   EXPECT_TRUE(Out.good());
@@ -75,19 +79,22 @@ TEST(CliExit, UnknownFlagIsTwo) {
 }
 
 TEST(CliExit, CompileErrorIsTwo) {
-  std::string Bad = writeTemp("cli_bad.c4l", "txn { this is not C4L\n");
+  c4test::TempFiles Temp;
+  std::string Bad = writeTemp(Temp, "cli_bad.c4l", "txn { this is not C4L\n");
   EXPECT_EQ(runAnalyzer(Bad), 2);
 }
 
 TEST(CliExit, WerrorWithWarningsIsThree) {
-  std::string W = writeTemp("cli_warn.c4l", WarningOnlySource);
+  c4test::TempFiles Temp;
+  std::string W = writeTemp(Temp, "cli_warn.c4l", WarningOnlySource);
   EXPECT_EQ(runAnalyzer("--lint --werror " + W), 3);
   // Same contract in analysis mode: no violations, but warnings + --werror.
   EXPECT_EQ(runAnalyzer("--werror " + W), 3);
 }
 
 TEST(CliExit, LintWithoutWerrorIsZero) {
-  std::string W = writeTemp("cli_warn2.c4l", WarningOnlySource);
+  c4test::TempFiles Temp;
+  std::string W = writeTemp(Temp, "cli_warn2.c4l", WarningOnlySource);
   EXPECT_EQ(runAnalyzer("--lint " + W), 0);
   EXPECT_EQ(runAnalyzer("--lint-json " + W), 0);
 }
@@ -114,7 +121,8 @@ TEST(CliExit, BenchTable1UnknownArgumentIsTwoBeforeAnyWork) {
   // does not take, given without its value: neither may fall through to
   // the lint pass or the 28-app table.
   for (const char *Args : {"--lint --bogus-flag", "--quick --threads"}) {
-    std::string Out = testing::TempDir() + "bench_table1_usage.out";
+    c4test::TempFiles Temp;
+    std::string Out = Temp.add(testing::TempDir() + "bench_table1_usage.out");
     std::string Cmd = std::string(C4_BENCH_TABLE1_PATH) + " " + Args +
                       " > " + Out + " 2> /dev/null";
     int Status = std::system(Cmd.c_str());
@@ -128,7 +136,8 @@ TEST(CliExit, BenchTable1UnknownArgumentIsTwoBeforeAnyWork) {
 }
 
 TEST(CliExit, SuppressedWarningsAreClean) {
-  std::string W = writeTemp("cli_allow.c4l",
+  c4test::TempFiles Temp;
+  std::string W = writeTemp(Temp, "cli_allow.c4l",
                             "// c4l-allow C4L-W001\n"
                             "container map Audit;\n"
                             "txn w(k, v) {\n"

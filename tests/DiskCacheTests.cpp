@@ -20,6 +20,8 @@
 #include "passes/PassManager.h"
 #include "support/DiskCache.h"
 
+#include "TempFiles.h"
+
 #include "gtest/gtest.h"
 
 #include <atomic>
@@ -32,6 +34,7 @@
 #include <vector>
 
 using namespace c4;
+using c4test::TempFiles;
 
 namespace {
 
@@ -69,7 +72,8 @@ void writeFile(const std::string &Path, const std::string &Bytes) {
 }
 
 TEST(DiskCache, PutGetRoundTrip) {
-  DiskCache C(freshDir("roundtrip"));
+  TempFiles Temp;
+  DiskCache C(Temp.add(freshDir("roundtrip")));
   ASSERT_TRUE(C.enabled());
   EXPECT_FALSE(C.get("absent").has_value());
   C.put("key-1", "payload bytes \x01\x02\n with newline");
@@ -87,7 +91,8 @@ TEST(DiskCache, PutGetRoundTrip) {
 }
 
 TEST(DiskCache, TruncatedEntryIsMissAndUnlinked) {
-  DiskCache C(freshDir("truncated"));
+  TempFiles Temp;
+  DiskCache C(Temp.add(freshDir("truncated")));
   ASSERT_TRUE(C.enabled());
   C.put("victim", std::string(4096, 'x'));
   ASSERT_TRUE(C.get("victim").has_value());
@@ -106,7 +111,8 @@ TEST(DiskCache, TruncatedEntryIsMissAndUnlinked) {
 }
 
 TEST(DiskCache, CorruptPayloadFailsChecksum) {
-  DiskCache C(freshDir("corrupt"));
+  TempFiles Temp;
+  DiskCache C(Temp.add(freshDir("corrupt")));
   ASSERT_TRUE(C.enabled());
   C.put("victim", "the quick brown fox");
   std::string Path = C.entryPath("victim");
@@ -118,7 +124,8 @@ TEST(DiskCache, CorruptPayloadFailsChecksum) {
 }
 
 TEST(DiskCache, ForeignFileIsMissNotCrash) {
-  DiskCache C(freshDir("foreign"));
+  TempFiles Temp;
+  DiskCache C(Temp.add(freshDir("foreign")));
   ASSERT_TRUE(C.enabled());
   writeFile(C.entryPath("alien"), "not a cache entry at all");
   EXPECT_FALSE(C.get("alien").has_value());
@@ -126,7 +133,8 @@ TEST(DiskCache, ForeignFileIsMissNotCrash) {
 }
 
 TEST(DiskCache, KilledWriterLeavesNoEntryAndTmpIsSwept) {
-  std::string Dir = freshDir("killed");
+  TempFiles Temp;
+  std::string Dir = Temp.add(freshDir("killed"));
   {
     DiskCache C(Dir);
     ASSERT_TRUE(C.enabled());
@@ -143,7 +151,8 @@ TEST(DiskCache, KilledWriterLeavesNoEntryAndTmpIsSwept) {
 TEST(DiskCache, UnusableDirectoryDegradesToCold) {
   // Root path is an existing *file*: the cache must disable itself, and
   // every operation must be a safe no-op.
-  std::string Path = testing::TempDir() + "c4cache_notadir";
+  TempFiles Temp;
+  std::string Path = Temp.add(testing::TempDir() + "c4cache_notadir");
   writeFile(Path, "occupied");
   DiskCache C(Path);
   EXPECT_FALSE(C.enabled());
@@ -153,7 +162,8 @@ TEST(DiskCache, UnusableDirectoryDegradesToCold) {
 }
 
 TEST(DiskCache, HostileKeysCannotEscapeObjectsDir) {
-  std::string Dir = freshDir("hostile");
+  TempFiles Temp;
+  std::string Dir = Temp.add(freshDir("hostile"));
   DiskCache C(Dir);
   ASSERT_TRUE(C.enabled());
   C.put("../../etc/passwd", "nope");
@@ -251,7 +261,8 @@ TEST(AnalysisCacheTest, WarmIsByteIdenticalToColdOnAllExamples) {
   std::vector<std::string> Examples = exampleFiles();
   ASSERT_GE(Examples.size(), 6u);
 
-  std::string Dir = freshDir("determinism");
+  TempFiles Temp;
+  std::string Dir = Temp.add(freshDir("determinism"));
   std::vector<std::string> ColdBlobs;
   {
     AnalysisCache Cache(Dir);
@@ -292,7 +303,8 @@ TEST(AnalysisCacheTest, WarmIsByteIdenticalToColdOnAllExamples) {
 TEST(AnalysisCacheTest, CorruptVerdictFallsBackColdAndRepairs) {
   std::string Path =
       std::string(C4_SOURCE_DIR) + "/examples/c4l/fig1_put_get.c4l";
-  std::string Dir = freshDir("fallback");
+  TempFiles Temp;
+  std::string Dir = Temp.add(freshDir("fallback"));
   std::string ColdBlob, Fingerprint;
   {
     AnalysisCache Cache(Dir);
@@ -345,7 +357,8 @@ TEST(AnalysisCacheTest, ConcurrentStampedeRunsBackendOnce) {
   PassOpts.Lint = false;
   ASSERT_TRUE(runPasses(*P.Program, PassOpts).Ok);
 
-  std::string Dir = freshDir("stampede");
+  TempFiles Temp;
+  std::string Dir = Temp.add(freshDir("stampede"));
   AnalysisCache Cache(Dir);
   ASSERT_TRUE(Cache.enabled());
 
@@ -383,7 +396,8 @@ TEST(AnalysisCacheTest, ConcurrentStampedeRunsBackendOnce) {
 TEST(AnalysisCacheTest, FlushPersistsIncrementalGrowth) {
   std::string Path =
       std::string(C4_SOURCE_DIR) + "/examples/c4l/fig11_add_follower.c4l";
-  std::string Dir = freshDir("flush");
+  TempFiles Temp;
+  std::string Dir = Temp.add(freshDir("flush"));
   size_t Records = 0, Txns = 0;
   {
     AnalysisCache Cache(Dir, /*Incremental=*/true);
@@ -417,7 +431,8 @@ std::string renameFirstTxn(std::string Source) {
 /// and stores only its verdict — however many other verdicts the directory
 /// holds. Nothing else is loaded into, or written back from, the run.
 TEST(AnalysisCacheTest, VerdictMissReadsOnlyItsOwnKey) {
-  std::string Dir = freshDir("miss_cost");
+  TempFiles Temp;
+  std::string Dir = Temp.add(freshDir("miss_cost"));
   std::vector<std::string> Examples = exampleFiles();
   ASSERT_GE(Examples.size(), 6u);
   {

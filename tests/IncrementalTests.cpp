@@ -30,6 +30,8 @@
 #include "history/Relations.h"
 #include "passes/PassManager.h"
 
+#include "TempFiles.h"
+
 #include "gtest/gtest.h"
 
 #include <cctype>
@@ -42,6 +44,7 @@
 #include <vector>
 
 using namespace c4;
+using c4test::TempFiles;
 
 namespace {
 
@@ -399,8 +402,9 @@ TEST(IncrementalDifferential, WarmEditMatchesPlainColdOnEveryExample) {
   uint64_t TxnHits = 0;
   unsigned Idx = 0, Witnesses = 0;
   for (const std::string &S : Sources) {
+    TempFiles Temp;
     std::string Dir =
-        freshDir(("differential" + std::to_string(Idx++)).c_str());
+        Temp.add(freshDir(("differential" + std::to_string(Idx++)).c_str()));
     // Cold-populate the incremental cache with the unedited program.
     {
       AnalysisCache Cache(Dir, /*Incremental=*/true);
@@ -454,7 +458,8 @@ const char *OrderedFork = "container map M;\n"
                           "txn Q(k) { let w = N.get(k); return w; }\n";
 
 TEST(IncrementalDifferential, GeneralizationCycleReplaysBlockedStatus) {
-  std::string Dir = freshDir("generalize_cycle");
+  TempFiles Temp;
+  std::string Dir = Temp.add(freshDir("generalize_cycle"));
   {
     AnalysisCache Cache(Dir, /*Incremental=*/true);
     analyzeSource(OrderedFork, &Cache);
@@ -554,7 +559,8 @@ TEST(IncrementalDifferential, ContentEditReplaysUntouchedRecords) {
 
   // Through the cache, exactly as a restarted tool: the warm run matches
   // a plain cold run and re-solves only some of the queries.
-  std::string Dir = freshDir("content_edit");
+  TempFiles Temp;
+  std::string Dir = Temp.add(freshDir("content_edit"));
   {
     AnalysisCache Cache(Dir, /*Incremental=*/true);
     analyzeSource(TwoForks, &Cache);
@@ -601,7 +607,8 @@ TEST(IncrementalDifferential, ContentEditReplaysUntouchedRecords) {
 }
 
 TEST(IncrementalDifferential, NoIncrementalEscapeHatchAgreesWithPlain) {
-  std::string Dir = freshDir("escape");
+  TempFiles Temp;
+  std::string Dir = Temp.add(freshDir("escape"));
   std::string Source = readFile(std::string(C4_SOURCE_DIR) +
                                 "/examples/c4l/uniqueness_bug.c4l");
   {
@@ -612,7 +619,7 @@ TEST(IncrementalDifferential, NoIncrementalEscapeHatchAgreesWithPlain) {
   // Each run below stores the edited program's verdict, which would make
   // the next run over the same directory a verdict hit: the "on" run gets
   // a copy of the populated directory.
-  std::string Copy = freshDir("escape_on");
+  std::string Copy = Temp.add(freshDir("escape_on"));
   std::filesystem::copy(Dir, Copy,
                         std::filesystem::copy_options::recursive |
                             std::filesystem::copy_options::overwrite_existing);
@@ -664,7 +671,9 @@ TEST_P(QuickAppEdit, WarmRenameMatchesPlainColdWithoutZ3) {
         analyzeCached(*P.History, Filtered, *P.Registry, Cache)};
   };
 
-  std::string Dir = freshDir(("app" + std::to_string(GetParam())).c_str());
+  TempFiles Temp;
+  std::string Dir =
+      Temp.add(freshDir(("app" + std::to_string(GetParam())).c_str()));
   {
     AnalysisCache Cache(Dir, /*Incremental=*/true);
     ASSERT_TRUE(Cache.enabled());
@@ -703,7 +712,8 @@ TEST(StageLedger, ParallelRunsChargeReplayLookups) {
   // time, all of which must land in incremental_seconds.
   std::string Source = readFile(std::string(C4_SOURCE_DIR) +
                                 "/examples/c4l/fig12_fresh_rows.c4l");
-  std::string Dir = freshDir("parallel_ledger");
+  TempFiles Temp;
+  std::string Dir = Temp.add(freshDir("parallel_ledger"));
   {
     AnalysisCache Cache(Dir, /*Incremental=*/true);
     analyzeSource(Source, &Cache);
@@ -741,7 +751,9 @@ TEST(StageLedger, StageSecondsNeverExceedBackend) {
   Sources.push_back(OrderedFork);
   unsigned Idx = 0;
   for (const std::string &S : Sources) {
-    std::string Dir = freshDir(("ledger" + std::to_string(Idx++)).c_str());
+    TempFiles Temp;
+    std::string Dir =
+        Temp.add(freshDir(("ledger" + std::to_string(Idx++)).c_str()));
     AnalyzerOptions O;
     O.NumThreads = 1;
     for (bool Warm : {false, true}) {

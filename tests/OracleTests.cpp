@@ -17,7 +17,10 @@
 ///    with the oracle on and off;
 ///  * parallel determinism — a multi-threaded bounded check commits
 ///    results in enumeration order, so violations and counters are
-///    identical to the single-threaded run.
+///    identical to the single-threaded run; and since every solving thread
+///    keeps its Z3 env for the life of the process, a result must not
+///    depend on what the process analyzed before, nor on other analyses
+///    sharing the solving pool at the same time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +34,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 using namespace c4;
 
@@ -98,6 +102,14 @@ void expectSameOutcome(const AnalysisResult &A, const AnalysisResult &B,
   EXPECT_EQ(A.SMTRefuted, B.SMTRefuted) << Context;
   EXPECT_EQ(A.SMTUnknown, B.SMTUnknown) << Context;
   EXPECT_EQ(A.Truncated, B.Truncated) << Context;
+}
+
+/// The solver-work counters a long-lived env must not change either.
+void expectSameSolverWork(const AnalysisResult &A, const AnalysisResult &B,
+                          const char *Context) {
+  EXPECT_EQ(A.SmtQueries, B.SmtQueries) << Context;
+  EXPECT_EQ(A.SmtSolves, B.SmtSolves) << Context;
+  EXPECT_EQ(A.SMTRetries, B.SMTRetries) << Context;
 }
 
 } // namespace
@@ -208,6 +220,78 @@ TEST(ParallelDeterminism, ParallelRunWithoutOracleMatchesToo) {
   AnalysisResult RP = analyze(*P->History, Par);
   expectSameOutcome(RS, RP, File);
   ASSERT_FALSE(RS.Violations.empty());
+}
+
+TEST(ParallelDeterminism, ResultsDoNotDependOnAnalysisOrder) {
+  // One process analyzes every example in file order and then in reverse,
+  // at one and at two threads. Every solving thread's env outlives each
+  // analysis, so a query meets what the thread solved before it; each
+  // program's result must still equal its first one-thread result.
+  std::vector<CompiledProgram> Programs;
+  for (const char *File : ExampleFiles) {
+    std::optional<CompiledProgram> P = compileExample(File);
+    ASSERT_TRUE(P) << File;
+    Programs.push_back(std::move(*P));
+  }
+  size_t N = Programs.size();
+  std::vector<AnalysisResult> Reference(N);
+  for (unsigned Threads : {1u, 2u}) {
+    AnalyzerOptions O;
+    O.NumThreads = Threads;
+    std::vector<AnalysisResult> Forward(N), Backward(N);
+    for (size_t I = 0; I != N; ++I)
+      Forward[I] = analyze(*Programs[I].History, O);
+    for (size_t I = N; I-- != 0;)
+      Backward[I] = analyze(*Programs[I].History, O);
+    if (Threads == 1)
+      Reference = Forward;
+    for (size_t I = 0; I != N; ++I) {
+      for (const AnalysisResult *R : {&Forward[I], &Backward[I]}) {
+        std::string Context = std::string(ExampleFiles[I]) + " threads=" +
+                              std::to_string(Threads) +
+                              (R == &Forward[I] ? " forward" : " reverse");
+        expectSameOutcome(Reference[I], *R, Context.c_str());
+        expectSameSolverWork(Reference[I], *R, Context.c_str());
+      }
+    }
+  }
+}
+
+TEST(ParallelDeterminism, ConcurrentAnalysesShareThePool) {
+  // Four threads at once each analyze a different example at two threads,
+  // so their bounded rounds interleave on the process's one solving pool.
+  // Each result must equal that program's one-thread result.
+  const char *Files[] = {
+      "/examples/c4l/fig1_put_get.c4l",
+      "/examples/c4l/fig11_add_follower.c4l",
+      "/examples/c4l/fig12_fresh_rows.c4l",
+      "/examples/c4l/uniqueness_bug.c4l",
+  };
+  std::vector<CompiledProgram> Programs;
+  for (const char *File : Files) {
+    std::optional<CompiledProgram> P = compileExample(File);
+    ASSERT_TRUE(P) << File;
+    Programs.push_back(std::move(*P));
+  }
+  size_t N = Programs.size();
+  std::vector<AnalysisResult> Alone(N), Shared(N);
+  AnalyzerOptions Seq;
+  Seq.NumThreads = 1;
+  for (size_t I = 0; I != N; ++I)
+    Alone[I] = analyze(*Programs[I].History, Seq);
+  std::vector<std::thread> Callers;
+  for (size_t I = 0; I != N; ++I)
+    Callers.emplace_back([&, I] {
+      AnalyzerOptions Par;
+      Par.NumThreads = 2;
+      Shared[I] = analyze(*Programs[I].History, Par);
+    });
+  for (std::thread &T : Callers)
+    T.join();
+  for (size_t I = 0; I != N; ++I) {
+    expectSameOutcome(Alone[I], Shared[I], Files[I]);
+    expectSameSolverWork(Alone[I], Shared[I], Files[I]);
+  }
 }
 
 #endif // C4_SOURCE_DIR

@@ -72,7 +72,11 @@ struct RouterProc {
         ErrPath(std::move(O.ErrPath)) {}
   /// A test that stops at a failed assertion must not leave the fleet
   /// running: it would hold the test's output pipe, and ctest with it.
-  ~RouterProc() { kill(); }
+  ~RouterProc() {
+    kill();
+    if (!ErrPath.empty())
+      std::remove(ErrPath.c_str());
+  }
 
   std::string errLog() const {
     std::ifstream In(ErrPath);
@@ -510,8 +514,9 @@ long sumWorkerStat(const std::string &CacheDir, unsigned Workers,
 }
 
 TEST(Router, QuickAppSoakSurvivesWorkerKill) {
-  std::vector<SoakApp> Apps = quickSoakApps("rt_soak");
-  std::string CacheDir = testing::TempDir() + "rt_soak_cache";
+  TempFiles Temp;
+  std::vector<SoakApp> Apps = quickSoakApps("rt_soak", Temp);
+  std::string CacheDir = Temp.add(testing::TempDir() + "rt_soak_cache");
   std::filesystem::remove_all(CacheDir); // every app's first request is cold
   RouterProc R = spawnRouter("rt_soak", "--workers 2 --worker-threads 1 "
                                         "--max-inflight 0 --cache-dir " +

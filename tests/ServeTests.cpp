@@ -71,8 +71,11 @@ std::vector<std::string> runServe(const std::string &Requests,
   // Unique per test process: ctest runs each gtest case as its own process,
   // and a parallel run must not share request/reply spool files.
   std::string Tag = std::to_string(::getpid());
-  std::string ReqPath = testing::TempDir() + "serve_req." + Tag + ".jsonl";
-  std::string OutPath = testing::TempDir() + "serve_out." + Tag + ".jsonl";
+  TempFiles Temp;
+  std::string ReqPath =
+      Temp.add(testing::TempDir() + "serve_req." + Tag + ".jsonl");
+  std::string OutPath =
+      Temp.add(testing::TempDir() + "serve_out." + Tag + ".jsonl");
   writeFile(ReqPath, Requests);
   std::string Cmd = std::string(C4_SERVE_PATH) + " " + Flags + " < " +
                     ReqPath + " > " + OutPath + " 2> /dev/null";
@@ -162,7 +165,8 @@ TEST(Serve, PerRequestFailuresAreRepliesNotExits) {
 }
 
 TEST(Serve, CacheHitOnRepeatAndAcrossRestart) {
-  std::string CacheDir = freshCacheDir("serve_cache_restart");
+  TempFiles Temp;
+  std::string CacheDir = Temp.add(freshCacheDir("serve_cache_restart"));
   std::string Req = "{\"id\": 1, \"file\": \"" +
                     examplePath("fig11_add_follower.c4l") + "\"}\n";
   // One worker: FIFO processing, so the repeat is deterministically warm.
@@ -186,7 +190,8 @@ TEST(Serve, CacheHitOnRepeatAndAcrossRestart) {
 }
 
 TEST(Serve, DistinctOptionsMissDistinctly) {
-  std::string CacheDir = freshCacheDir("serve_cache_opts");
+  TempFiles Temp;
+  std::string CacheDir = Temp.add(freshCacheDir("serve_cache_opts"));
   std::string File = examplePath("fig1_put_get.c4l");
   auto Lines = runServe(
       "{\"id\": 1, \"file\": \"" + File + "\"}\n" +
@@ -202,9 +207,10 @@ TEST(Serve, DistinctOptionsMissDistinctly) {
 /// c4-analyze --cache-dir: warm output is byte-identical to cold modulo
 /// the recomputed frontend timing lines, and the exit code is preserved.
 TEST(CliCache, WarmStatsByteIdenticalAndExitPreserved) {
-  std::string CacheDir = freshCacheDir("cli_cache");
-  std::string ColdOut = testing::TempDir() + "cli_cold.json";
-  std::string WarmOut = testing::TempDir() + "cli_warm.json";
+  TempFiles Temp;
+  std::string CacheDir = Temp.add(freshCacheDir("cli_cache"));
+  std::string ColdOut = Temp.add(testing::TempDir() + "cli_cold.json");
+  std::string WarmOut = Temp.add(testing::TempDir() + "cli_warm.json");
   std::string Base = std::string(C4_ANALYZE_PATH) + " --stats-json --cache-dir " +
                      CacheDir + " " + examplePath("uniqueness_bug.c4l");
 
@@ -239,7 +245,7 @@ TEST(CliCache, WarmStatsByteIdenticalAndExitPreserved) {
 //===----------------------------------------------------------------------===//
 
 /// A c4-serve child process listening on a socket. Kills the child if a
-/// test bails before shutting it down cleanly.
+/// test bails before shutting it down cleanly, and removes its stderr log.
 struct ServeProc {
   pid_t Pid = -1;
   int Port = 0; ///< TCP port, when --tcp was used
@@ -251,6 +257,7 @@ struct ServeProc {
       int St;
       ::waitpid(Pid, &St, 0);
     }
+    std::remove(ErrPath.c_str());
   }
 
   std::string errLog() const {
@@ -401,7 +408,8 @@ TEST(ServeTcp, OverlongUnterminatedLineGetsOneErrorThenClose) {
 }
 
 TEST(ServeTcp, StampedeOnOneFingerprintRunsBackendOnce) {
-  std::string CacheDir = freshCacheDir("tcp_stampede");
+  TempFiles Temp;
+  std::string CacheDir = Temp.add(freshCacheDir("tcp_stampede"));
   ServeProc S = spawnServe("tcp_stampede", "--tcp 127.0.0.1:0 --workers 8 "
                                            "--cache-dir " +
                                                CacheDir);
@@ -475,7 +483,8 @@ TEST(ServeTcp, OverloadGetsBackpressureReplyNotQueue) {
 }
 
 TEST(ServeTcp, SigtermDrainsInflightThenExitsZero) {
-  std::string CacheDir = freshCacheDir("tcp_drain");
+  TempFiles Temp;
+  std::string CacheDir = Temp.add(freshCacheDir("tcp_drain"));
   ServeProc S = spawnServe("tcp_drain", "--tcp 127.0.0.1:0 --workers 2 "
                                         "--cache-dir " +
                                             CacheDir);
@@ -574,8 +583,9 @@ TEST(ServeTcp, PerTransportAcceptCloseCounters) {
 }
 
 TEST(ServeTcp, QuickAppSoakMatchesOneThreadReference) {
-  std::vector<SoakApp> Apps = quickSoakApps("tcp_soak");
-  std::string CacheDir = testing::TempDir() + "tcp_soak_cache";
+  TempFiles Temp;
+  std::vector<SoakApp> Apps = quickSoakApps("tcp_soak", Temp);
+  std::string CacheDir = Temp.add(testing::TempDir() + "tcp_soak_cache");
   std::filesystem::remove_all(CacheDir); // every app's first request is cold
   ServeProc S = spawnServe("tcp_soak", "--tcp 127.0.0.1:0 --workers 0 "
                                        "--max-inflight 0 --cache-dir " +
@@ -615,7 +625,8 @@ TEST(ServeTcp, QuickAppSoakMatchesOneThreadReference) {
 TEST(CliCache, UnusableCacheDirStillAnalyzes) {
   // Point --cache-dir at a file: the CLI must warn and run cold with the
   // normal exit code, not fail.
-  std::string NotADir = testing::TempDir() + "cli_cache_notadir";
+  TempFiles Temp;
+  std::string NotADir = Temp.add(testing::TempDir() + "cli_cache_notadir");
   writeFile(NotADir, "occupied");
   std::string Cmd = std::string(C4_ANALYZE_PATH) + " --cache-dir " + NotADir +
                     " " + examplePath("highscore_fixed.c4l") +

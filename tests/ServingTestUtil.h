@@ -17,6 +17,7 @@
 #ifndef C4_TESTS_SERVINGTESTUTIL_H
 #define C4_TESTS_SERVINGTESTUTIL_H
 
+#include "TempFiles.h"
 #include "apps/Apps.h"
 
 #include "gtest/gtest.h"
@@ -229,15 +230,16 @@ struct SoakApp {
 };
 
 /// The six apps of `bench_table1 --quick`, written to files under the test
-/// temp dir (\p Tag keeps the tests that run at once apart), each with its
-/// one-thread CLI reference: the analysis c4-serve runs for a request that
-/// sets no option.
-inline std::vector<SoakApp> quickSoakApps(const std::string &Tag) {
+/// temp dir that \p Temp removes (\p Tag keeps the tests that run at once
+/// apart), each with its one-thread CLI reference: the analysis c4-serve
+/// runs for a request that sets no option.
+inline std::vector<SoakApp> quickSoakApps(const std::string &Tag,
+                                          TempFiles &Temp) {
   std::vector<SoakApp> Apps;
   for (unsigned I = 0; I != 6; ++I) {
     const c4bench::BenchApp &B = c4bench::benchApps()[I];
-    std::string Path =
-        testing::TempDir() + Tag + "_app" + std::to_string(I) + ".c4l";
+    std::string Path = Temp.add(testing::TempDir() + Tag + "_app" +
+                                std::to_string(I) + ".c4l");
     std::ofstream(Path) << B.Source;
     std::string Cmd = std::string(C4_ANALYZE_PATH) +
                       " --threads 1 --stats-json " + Path + " 2>/dev/null";

@@ -12,7 +12,10 @@
 /// transactions each, arguments from {0,1}) and decide serializability by
 /// brute force. A single counter-example here would demonstrate a
 /// soundness bug in the SSG stage, the unfolder, the SMT encoding, or the
-/// generalization.
+/// generalization. Each of the 40 seeded trials is its own case
+/// (`Trial/Soundness.SerializableVerdictsHaveNoSmallCounterexamples/<i>`);
+/// `Soundness.TrialsExerciseBothVerdicts` checks that the trials cover both
+/// verdicts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <vector>
 
 using namespace c4;
 
@@ -150,87 +155,127 @@ bool forEachSmallConcretization(
   return false;
 }
 
-} // namespace
+/// The 40 random programs of the soundness trials, drawn in order from one
+/// seeded stream: trial i always analyzes the same program.
+struct TrialPrograms {
+  static constexpr unsigned NumTrials = 40;
 
-TEST(Soundness, SerializableVerdictsHaveNoSmallCounterexamples) {
-  TypeRegistry Reg;
-  Schema Sch;
-  Sch.addContainer("M", Reg.lookup("map"));
-  Rng R(0x50DA);
-  unsigned Serializable = 0, Flagged = 0, Checked = 0;
-  for (unsigned Trial = 0; Trial != 40; ++Trial) {
-    unsigned NumLocals = 0;
-    AbstractHistory A = randomAbstract(Sch, R, NumLocals);
+  TrialPrograms() {
+    Sch.addContainer("M", Reg.lookup("map"));
+    Rng R(0x50DA);
+    for (unsigned Trial = 0; Trial != NumTrials; ++Trial) {
+      unsigned NumLocals = 0;
+      Programs.push_back(randomAbstract(Sch, R, NumLocals));
+    }
+  }
+
+  static AnalysisResult analyzeTrial(const AbstractHistory &A) {
     AnalyzerOptions O;
     O.Budget.WallMs = 5000;
-    AnalysisResult Res = analyze(A, O);
+    return analyze(A, O);
+  }
+
+  TypeRegistry Reg;
+  Schema Sch;
+  std::vector<AbstractHistory> Programs;
+};
+
+/// True when the concretization \p H is unserializable and some legal
+/// causal schedule realizes it: a counter-example to a serializable
+/// verdict.
+bool realizableUnserializable(const History &H) {
+  // Only histories that genuinely arise matter: their own query returns
+  // must be achievable — brute-force serializability handles that: if H is
+  // unserializable AND legal under some causal schedule, it is a
+  // counter-example. We approximate "legal under some causal schedule" by
+  // requiring that a causal schedule with S1 exists; the cheapest complete
+  // check at this size is: does some schedule built from a transaction
+  // linearization + subset visibility satisfy S1? We test the
+  // weaker-but-sound direction: if H is serializable, it is no
+  // counter-example.
+  if (isSerializable(H))
+    return false;
+  // Unserializable concretization: does any legal causal schedule realize
+  // it? Try all transaction-level visibility assignments.
+  unsigned N = H.numTransactions();
+  std::vector<unsigned> Order(N);
+  for (unsigned I = 0; I != N; ++I)
+    Order[I] = I;
+  // Arbitration orders: permutations respecting session order.
+  std::sort(Order.begin(), Order.end());
+  do {
+    bool SoOk = true;
+    for (unsigned I = 0; I != N && SoOk; ++I)
+      for (unsigned J = I + 1; J != N && SoOk; ++J)
+        SoOk = !H.txnSoLess(Order[J], Order[I]);
+    if (!SoOk)
+      continue;
+    // Visibility subsets over ar-ordered pairs.
+    std::vector<std::pair<unsigned, unsigned>> Pairs;
+    for (unsigned I = 0; I != N; ++I)
+      for (unsigned J = I + 1; J != N; ++J)
+        Pairs.push_back({Order[I], Order[J]});
+    for (unsigned VMask = 0; VMask != (1u << Pairs.size()); ++VMask) {
+      Schedule S(H.numEvents());
+      std::vector<unsigned> EvOrder;
+      for (unsigned T : Order)
+        for (unsigned E : H.txn(T).Events)
+          EvOrder.push_back(E);
+      S.setArbitration(EvOrder);
+      for (unsigned PI = 0; PI != Pairs.size(); ++PI)
+        if ((VMask >> PI) & 1)
+          for (unsigned EA : H.txn(Pairs[PI].first).Events)
+            for (unsigned EB : H.txn(Pairs[PI].second).Events)
+              S.setVisible(EA, EB);
+      S.closeCausally(H);
+      if (isLegalSchedule(H, S))
+        return true; // realizable and unserializable!
+    }
+  } while (std::next_permutation(Order.begin(), Order.end()));
+  return false;
+}
+
+} // namespace
+
+/// One trial: if the pipeline judges program i serializable, no small
+/// concretization of it may be a realizable unserializable history. Each
+/// trial is its own case so that the brute force spreads over cores.
+class Soundness : public testing::TestWithParam<unsigned> {};
+
+TEST_P(Soundness, SerializableVerdictsHaveNoSmallCounterexamples) {
+  TrialPrograms T;
+  const AbstractHistory &A = T.Programs[GetParam()];
+  AnalysisResult Res = TrialPrograms::analyzeTrial(A);
+  if (!Res.Violations.empty() || !Res.Generalized)
+    return; // flagged, or a bounded-only result: no unbounded claim to test
+  EXPECT_FALSE(forEachSmallConcretization(A, realizableUnserializable))
+      << "soundness bug: a program judged serializable has an "
+         "unserializable realizable concretization";
+}
+
+INSTANTIATE_TEST_SUITE_P(Trial, Soundness,
+                         testing::Range(0u, TrialPrograms::NumTrials));
+
+TEST(Soundness, TrialsExerciseBothVerdicts) {
+  // The trials must exercise both verdicts and give the serializable ones
+  // concretizations to check. Counting them is cheap; deciding them is
+  // the per-trial cases' work.
+  TrialPrograms T;
+  unsigned Serializable = 0, Flagged = 0, Checked = 0;
+  for (const AbstractHistory &A : T.Programs) {
+    AnalysisResult Res = TrialPrograms::analyzeTrial(A);
     if (!Res.Violations.empty()) {
       ++Flagged;
       continue;
     }
     if (!Res.Generalized)
-      continue; // bounded-only result: no unbounded claim to test
+      continue;
     ++Serializable;
-    bool Counterexample =
-        forEachSmallConcretization(A, [&](const History &H) {
-          ++Checked;
-          // Only histories that genuinely arise matter: their own query
-          // returns must be achievable — brute-force serializability
-          // handles that: if H is unserializable AND legal under some
-          // causal schedule, it is a counter-example. We approximate
-          // "legal under some causal schedule" by requiring that a causal
-          // schedule with S1 exists; the cheapest complete check at this
-          // size is: does some schedule built from a transaction
-          // linearization + subset visibility satisfy S1? We test the
-          // weaker-but-sound direction: if H is serializable, it is no
-          // counter-example.
-          if (isSerializable(H))
-            return false;
-          // Unserializable concretization: does any legal causal schedule
-          // realize it? Try all transaction-level visibility assignments.
-          unsigned N = H.numTransactions();
-          std::vector<unsigned> Order(N);
-          for (unsigned I = 0; I != N; ++I)
-            Order[I] = I;
-          // Arbitration orders: permutations respecting session order.
-          std::sort(Order.begin(), Order.end());
-          do {
-            bool SoOk = true;
-            for (unsigned I = 0; I != N && SoOk; ++I)
-              for (unsigned J = I + 1; J != N && SoOk; ++J)
-                SoOk = !H.txnSoLess(Order[J], Order[I]);
-            if (!SoOk)
-              continue;
-            // Visibility subsets over ar-ordered pairs.
-            std::vector<std::pair<unsigned, unsigned>> Pairs;
-            for (unsigned I = 0; I != N; ++I)
-              for (unsigned J = I + 1; J != N; ++J)
-                Pairs.push_back({Order[I], Order[J]});
-            for (unsigned VMask = 0; VMask != (1u << Pairs.size());
-                 ++VMask) {
-              Schedule S(H.numEvents());
-              std::vector<unsigned> EvOrder;
-              for (unsigned T : Order)
-                for (unsigned E : H.txn(T).Events)
-                  EvOrder.push_back(E);
-              S.setArbitration(EvOrder);
-              for (unsigned PI = 0; PI != Pairs.size(); ++PI)
-                if ((VMask >> PI) & 1)
-                  for (unsigned EA : H.txn(Pairs[PI].first).Events)
-                    for (unsigned EB : H.txn(Pairs[PI].second).Events)
-                      S.setVisible(EA, EB);
-              S.closeCausally(H);
-              if (isLegalSchedule(H, S))
-                return true; // realizable and unserializable!
-            }
-          } while (std::next_permutation(Order.begin(), Order.end()));
-          return false;
-        });
-    EXPECT_FALSE(Counterexample)
-        << "soundness bug: a program judged serializable has an "
-           "unserializable realizable concretization";
+    forEachSmallConcretization(A, [&](const History &) {
+      ++Checked;
+      return false;
+    });
   }
-  // The generator must exercise both verdicts.
   EXPECT_GT(Serializable, 3u);
   EXPECT_GT(Flagged, 3u);
   EXPECT_GT(Checked, 100u);

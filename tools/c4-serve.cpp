@@ -10,9 +10,10 @@
 /// concurrently on a worker pool; and replies with one JSON line per
 /// request carrying the same verdict/stats object `c4-analyze --stats-json`
 /// prints. Amortizes across requests everything a one-shot CLI run pays per
-/// invocation: process start-up, Z3 context construction (one env per
-/// worker thread, reused) and — with --cache-dir — the entire back end for
-/// previously seen (program, options) pairs.
+/// invocation: process start-up, Z3 context construction (each solving
+/// thread keeps one env for the life of the process) and — with
+/// --cache-dir — the entire back end for previously seen (program, options)
+/// pairs.
 ///
 ///   c4-serve [options]
 ///     --workers <n>          request-level worker threads (0 = hardware
@@ -58,8 +59,9 @@
 /// "no_unique". Unlike the CLI, "threads" defaults to 1: request-level
 /// parallelism comes from --workers, and multiplying the two
 /// oversubscribes. A "threads" above the machine's hardware concurrency is
-/// an error reply: a bounded round starts up to that many threads, each
-/// building its own Z3 context, and the value comes from the client.
+/// an error reply: the process's solving pool, whose threads each keep a
+/// Z3 context for the life of the process, never grows past it, and the
+/// value comes from the client.
 ///
 /// Control requests: {"op": "ping"} (answered on the event-loop thread even
 /// under full analysis load, so tools/c4-router uses it as its liveness
@@ -78,8 +80,8 @@
 /// Shutdown and drain: SIGTERM/SIGINT (socket modes) or the shutdown op
 /// stop accepting new connections, finish and deliver all in-flight work,
 /// flush the cache, and exit 0 — via _exit once everything durable is on
-/// disk, because tearing down the reused per-thread Z3 environments can
-/// cost a minute of CPU after a long soak. Past --drain-timeout-ms the drain turns
+/// disk, without joining the request pool behind cancelled analyses still
+/// winding down. Past --drain-timeout-ms the drain turns
 /// firm: every live request's deadline is tripped (support/Deadline), the
 /// analyses wind down to partial-but-sound verdicts, and undeliverable
 /// replies are counted as dropped. SIGPIPE is ignored process-wide — a
@@ -232,13 +234,6 @@ std::string opReply(const std::string &Op, const std::string &Id,
   return errorReply(Id, "unknown op '" + Op + "'");
 }
 
-/// One Z3 environment per pool thread, reused across the requests the
-/// thread serves (context construction costs more than a typical small
-/// solve). Sound because AnalyzerOptions::ReuseEnv is only handed to the
-/// run executing on this thread, and per-query name generations isolate
-/// queries from each other.
-thread_local std::unique_ptr<Z3Env> WorkerEnv;
-
 /// Handles one request line end to end; returns the reply line.
 /// \p RequestDeadline, when given, is armed from the request's deadline_ms
 /// and governs the analysis — the serving loop keeps a handle so graceful
@@ -363,10 +358,6 @@ std::string handleRequest(const std::string &Line, AnalysisCache *Cache,
       return errorReply(Id, Passes.Error);
   }
   Options.AtomicSets = P.AtomicSets;
-
-  if (!WorkerEnv)
-    WorkerEnv = std::make_unique<Z3Env>();
-  Options.ReuseEnv = WorkerEnv.get();
 
   PipelineResult PR =
       analyzeCached(*P.History, Options, *P.Registry, Cache);
@@ -502,12 +493,10 @@ public:
       Cache->flush();
     // Everything durable is on disk and every deliverable byte is out —
     // skip process teardown. Joining the pool would serialize behind any
-    // cancelled task still winding down, and each worker thread's reused
-    // Z3 environment frees its accumulated AST heap one node at a time on
-    // destruction: after a long soak that is a minute of pure CPU between
-    // "drained" and "exited", which blows straight through supervisor
-    // kill grace periods. Disk-cache writes are atomic (tmp + rename), so
-    // exiting over a mid-write cancelled task cannot corrupt the store.
+    // cancelled task still winding down (up to one solver check each),
+    // which can blow through supervisor kill grace periods. Disk-cache
+    // writes are atomic (tmp + rename), so exiting over a mid-write
+    // cancelled task cannot corrupt the store.
     ::_exit(0);
   }
 
